@@ -7,10 +7,11 @@ logarithmic: LPHeap (prefix-size concatenation rule), FHTNGHeap
 recursive push/pull).  All three support amortized O(lg lg n) insert
 and decrease_key and O(lg n) delete_min.
 
-The validation layer (audit, differential_run, lemma_check) turns the
-structural invariants and per-operation potential budgets into exact
-executable checks; the ``partheap`` CLI generates and replays
-workloads and reports per-operation costs.
+The validation layer (audit, lemma_check, and differential_run, which
+shares run_trace's replay loop in ``runner``) turns the structural
+invariants and per-operation potential budgets into exact executable
+checks; the ``partheap`` CLI generates and replays workloads and
+reports per-operation costs.
 '''
 
 from .core import (CostMeter, DeadHandleError, EmptyHeapError, Handle,
@@ -24,8 +25,8 @@ from .potential import (PotentialLedger, attach_ledger, lemma_check)
 from .selection import (mom_select, quickselect, select_rank,
                         select_rank_randomized, split_by_rank)
 from .traces import PATTERNS, Trace, gen
-from .runner import compare_traces, make_heap, run_trace
-from .validation import AuditReport, audit, differential_run
+from .runner import compare_traces, differential_run, make_heap, run_trace
+from .validation import AuditReport, audit
 
 __all__ = [
     'AuditReport', 'CostMeter', 'DeadHandleError', 'EmptyHeapError',

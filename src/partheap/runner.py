@@ -1,9 +1,10 @@
-'''Trace replay over any implementation, with cost telemetry.
+'''Trace replay over any implementation: the package's one replay loop.
 
-One CostRow is emitted per executed operation, carrying the deltas of
-the heap's CostMeter counters plus the total potential before and
-after when --phi tracking is on.  Replays are deterministic given
-(trace, impl, seed).
+``run_trace`` (a heap by name) and ``differential_run`` (a heap the
+caller built) both replay through ``_replay``, which optionally mirrors
+every op on OracleHeap, audits, and writes one cost row per op: CostMeter
+deltas plus, with --phi, the total potential before and after.
+Replays are deterministic given (trace, impl, seed).
 '''
 
 import csv
@@ -47,13 +48,6 @@ def total_phi(heap):
     return 0
 
 
-def _outcome(fn):
-    try:
-        return ('ok', fn())
-    except HeapError as exc:
-        return (type(exc).__name__, None)
-
-
 class RunResult:
     __slots__ = ('ok', 'fail_op', 'reason', 'ops', 'outputs', 'ledger',
                  'lemma', 'heap')
@@ -68,10 +62,108 @@ class RunResult:
         self.lemma = None
         self.heap = None
 
+    def fail(self, op_index, reason):
+        self.ok = False
+        self.fail_op = op_index
+        self.reason = reason
+
     def __repr__(self):
         if self.ok:
             return 'RunResult(pass, %d ops)' % self.ops
         return 'RunResult(FAIL at op %s: %s)' % (self.fail_op, self.reason)
+
+
+def _replay(trace, heap, shadow=None, audit_every=0, phi=False,
+            costs_path=None, collect_outputs=False):
+    '''The replay loop behind run_trace and differential_run.
+
+    With ``shadow`` set, every operation is mirrored on it and must
+    have the same outcome, and find_min must agree after every op on
+    heaps that have one.  Audits run every ``audit_every`` ops and
+    once at the end, except on the oracle heap, which has none.
+    Meter deltas and potentials are read only for the costs CSV.
+    '''
+    result = RunResult()
+    result.heap = heap
+    outputs = result.outputs if collect_outputs else None
+    find_min = getattr(heap, 'find_min', None) if shadow is not None else None
+    if heap.kind == 'oracle':
+        audit_every = 0
+    handles = []
+    mirrors = []
+    targets = [(heap, handles)]
+    if shadow is not None:
+        targets.append((shadow, mirrors))
+    meter = heap.meter
+    fh = writer = None
+    if costs_path is not None:
+        fh = open(costs_path, 'w', newline='')
+        writer = csv.writer(fh)
+        writer.writerow(COST_FIELDS)
+    try:
+        for idx, op in enumerate(trace.ops):
+            if writer is not None:
+                before = meter.snapshot()
+                phi_before = total_phi(heap) if phi else 0
+            tag = op[0]
+            if tag == 'i':
+                kind = 'insert'
+                handles.append(heap.insert(op[1]))
+                if shadow is not None:
+                    mirrors.append(shadow.insert(op[1]))
+            else:
+                if tag == 'd':
+                    kind = 'delete_min'
+                else:
+                    kind = 'decrease_key'
+                    hid = op[1]
+                    if not 0 <= hid < len(handles):
+                        raise ValueError('op %d references unknown handle %d'
+                                         % (idx, hid))
+                outcomes = []
+                for target, refs in targets:
+                    try:
+                        if tag == 'd':
+                            outcome = ('ok', target.delete_min())
+                        else:
+                            outcome = ('ok', target.decrease_key(refs[hid],
+                                                                 op[2]))
+                    except HeapError as exc:
+                        outcome = (type(exc).__name__, None)
+                    outcomes.append(outcome)
+                got = outcomes[0]
+                if outputs is not None and tag == 'd':
+                    outputs.append(got)
+                if shadow is not None and got != outcomes[1]:
+                    result.fail(idx, '%s %r vs oracle %r'
+                                % (kind, got, outcomes[1]))
+                    break
+            if find_min is not None and shadow.n:
+                got = find_min()
+                want = shadow.find_min()
+                if got != want:
+                    result.fail(idx, 'find_min %r vs oracle %r'
+                                % (got, want))
+                    break
+            result.ops += 1
+            if writer is not None:
+                after = meter.snapshot()
+                writer.writerow((idx, kind)
+                                + tuple(a - b for a, b in zip(after, before))
+                                + (phi_before, total_phi(heap) if phi else 0))
+            if audit_every and (idx + 1) % audit_every == 0:
+                report = audit(heap)
+                if not report.passed:
+                    result.fail(idx, repr(report))
+                    break
+    finally:
+        if fh is not None:
+            fh.close()
+    if result.ok and audit_every:
+        report = audit(heap)
+        if not report.passed:
+            result.fail(result.ops - 1, repr(report))
+    return result
 
 
 def run_trace(trace, impl='lp', select='det', seed=0, audit_every=0,
@@ -85,95 +177,29 @@ def run_trace(trace, impl='lp', select='det', seed=0, audit_every=0,
     checks at the end; costs_path writes the per-op CSV.
     '''
     heap = make_heap(impl, select, seed)
-    result = RunResult()
-    result.heap = heap
-    if phi and impl != 'oracle':
-        result.ledger = attach_ledger(heap)
-    shadow = OracleHeap() if (oracle and impl != 'oracle') else None
-    handles = []
-    mirrors = []
-    writer = None
-    fh = None
-    if costs_path is not None:
-        fh = open(costs_path, 'w', newline='')
-        writer = csv.writer(fh)
-        writer.writerow(COST_FIELDS)
-    meter = heap.meter
-    try:
-        for idx, op in enumerate(trace.ops):
-            phi_before = total_phi(heap) if phi else 0
-            c0 = meter.comparisons
-            m0 = meter.node_moves
-            l0 = meter.list_links
-            s0 = meter.selection_elements
-            tag = op[0]
-            if tag == 'i':
-                kind = 'insert'
-                handles.append(heap.insert(op[1]))
-                if shadow is not None:
-                    mirrors.append(shadow.insert(op[1]))
-            elif tag == 'd':
-                kind = 'delete_min'
-                got = _outcome(heap.delete_min)
-                if collect_outputs:
-                    result.outputs.append(got)
-                if shadow is not None:
-                    want = _outcome(shadow.delete_min)
-                    if got != want:
-                        result.ok = False
-                        result.fail_op = idx
-                        result.reason = ('delete_min %r vs oracle %r'
-                                         % (got, want))
-                        break
-            else:
-                kind = 'decrease_key'
-                hid = op[1]
-                if not 0 <= hid < len(handles):
-                    raise ValueError('op %d references unknown handle %d'
-                                     % (idx, hid))
-                got = _outcome(lambda: heap.decrease_key(handles[hid], op[2]))
-                if shadow is not None:
-                    want = _outcome(
-                        lambda: shadow.decrease_key(mirrors[hid], op[2]))
-                    if got != want:
-                        result.ok = False
-                        result.fail_op = idx
-                        result.reason = ('decrease_key %r vs oracle %r'
-                                         % (got, want))
-                        break
-            result.ops += 1
-            if writer is not None:
-                writer.writerow((idx, kind,
-                                 meter.comparisons - c0,
-                                 meter.node_moves - m0,
-                                 meter.list_links - l0,
-                                 meter.selection_elements - s0,
-                                 phi_before,
-                                 total_phi(heap) if phi else 0))
-            if audit_every and (idx + 1) % audit_every == 0:
-                report = audit(heap)
-                if not report.passed:
-                    result.ok = False
-                    result.fail_op = idx
-                    result.reason = repr(report)
-                    break
-    finally:
-        if fh is not None:
-            fh.close()
-    if result.ok and audit_every and heap.kind != 'oracle':
-        report = audit(heap)
-        if not report.passed:
-            result.ok = False
-            result.fail_op = result.ops - 1
-            result.reason = repr(report)
-    if result.ok and result.ledger is not None:
-        result.lemma = lemma_check(result.ledger)
+    ledger = attach_ledger(heap) if phi and impl != 'oracle' else None
+    shadow = OracleHeap() if oracle and impl != 'oracle' else None
+    result = _replay(trace, heap, shadow, audit_every, phi, costs_path,
+                     collect_outputs)
+    result.ledger = ledger
+    if result.ok and ledger is not None:
+        result.lemma = lemma_check(ledger)
         if not result.lemma.passed:
-            result.ok = False
             row, bound = result.lemma.violations[0]
-            result.reason = ('potential budget exceeded: %r > %d'
-                             % (row, bound))
+            result.fail(None, 'potential budget exceeded: %r > %d'
+                        % (row, bound))
     return result
+
+
+def differential_run(trace, heap, audit_every=0):
+    '''Replay ``trace`` on ``heap`` and OracleHeap side by side.
+
+    Every delete_min value, every find_min value (when the heap
+    supports it) and every error outcome must match; with
+    ``audit_every`` set, the heap is audited every that-many ops and
+    at the end.  Returns a RunResult.
+    '''
+    return _replay(trace, heap, OracleHeap(), audit_every)
 
 
 def _compare_worker(args):
@@ -187,22 +213,11 @@ def compare_traces(trace, impls=('lp', 'fhtng', 'exp'), select='det',
                    seed=0, workers=1):
     '''Replay one trace on several implementations; return
     (all_equal, {impl: outputs}).'''
-    results = {}
+    jobs = [(trace.ops, impl, select, seed) for impl in impls]
     if workers > 1:
-        jobs = [(trace.ops, impl, select, seed) for impl in impls]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for impl, outputs in pool.map(_compare_worker, jobs):
-                results[impl] = outputs
+            results = dict(pool.map(_compare_worker, jobs))
     else:
-        for impl in impls:
-            res = run_trace(trace, impl=impl, select=select, seed=seed,
-                            collect_outputs=True)
-            results[impl] = res.outputs
-    baseline = None
-    all_equal = True
-    for impl in impls:
-        if baseline is None:
-            baseline = results[impl]
-        elif results[impl] != baseline:
-            all_equal = False
-    return all_equal, results
+        results = dict(map(_compare_worker, jobs))
+    outputs = list(results.values())
+    return all(out == outputs[0] for out in outputs), results

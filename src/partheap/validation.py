@@ -1,20 +1,15 @@
-'''Structural auditors and the differential trace runner.
+'''Structural auditors.
 
 ``audit`` walks a quiescent heap and checks everything that is cheap
 to state and expensive to get wrong: stored sizes against traversal
 counts, pivot sandwiches, global key ordering across sets, and each
 structure's own shape invariants.  Failures land in an AuditReport
-that names the first offending set or slot.
-
-``differential_run`` replays a trace on a heap and on OracleHeap in
-lockstep and insists every observable outcome matches, including which
-error an invalid operation raises.
+that names the first offending set or slot.  The replays that run
+these audits live in ``runner``.
 '''
 
-from .core import HeapError
 from .exp import TOP
 from .fhtng import FIB
-from .oracle import OracleHeap
 
 
 class AuditReport:
@@ -234,69 +229,3 @@ def _audit_exp(heap):
         report.fail('set-count', 'l = %d exceeds 1 + lg %d'
                     % (len(sets), heap.n))
     return report
-
-
-class DiffResult:
-    __slots__ = ('passed', 'op_index', 'detail')
-
-    def __init__(self, passed, op_index=None, detail=''):
-        self.passed = passed
-        self.op_index = op_index
-        self.detail = detail
-
-    def __repr__(self):
-        if self.passed:
-            return 'DiffResult(pass)'
-        return 'DiffResult(FAIL at op %s: %s)' % (self.op_index, self.detail)
-
-
-def _outcome(fn):
-    try:
-        return ('ok', fn())
-    except HeapError as exc:
-        return (type(exc).__name__, None)
-
-
-def differential_run(trace, heap, audit_every=0):
-    '''Replay ``trace`` on ``heap`` and OracleHeap side by side.
-
-    Every delete_min value, every find_min value (when the heap
-    supports it) and every error outcome must match; with
-    ``audit_every`` set, the heap is audited every that-many ops.
-    '''
-    oracle = OracleHeap()
-    handles = []
-    shadows = []
-    check_find_min = hasattr(heap, 'find_min')
-    for idx, op in enumerate(trace.ops):
-        tag = op[0]
-        if tag == 'i':
-            handles.append(heap.insert(op[1]))
-            shadows.append(oracle.insert(op[1]))
-        elif tag == 'd':
-            got = _outcome(heap.delete_min)
-            want = _outcome(oracle.delete_min)
-            if got != want:
-                return DiffResult(False, idx, 'delete_min %r vs oracle %r'
-                                  % (got, want))
-        else:
-            hid = op[1]
-            if not 0 <= hid < len(handles):
-                raise ValueError('op %d references unknown handle %d'
-                                 % (idx, hid))
-            got = _outcome(lambda: heap.decrease_key(handles[hid], op[2]))
-            want = _outcome(lambda: oracle.decrease_key(shadows[hid], op[2]))
-            if got != want:
-                return DiffResult(False, idx, 'decrease_key %r vs oracle %r'
-                                  % (got, want))
-        if check_find_min and oracle.n:
-            got = heap.find_min()
-            want = oracle.find_min()
-            if got != want:
-                return DiffResult(False, idx, 'find_min %r vs oracle %r'
-                                  % (got, want))
-        if audit_every and (idx + 1) % audit_every == 0:
-            report = audit(heap)
-            if not report.passed:
-                return DiffResult(False, idx, 'audit: %r' % report)
-    return DiffResult(True)

@@ -17,8 +17,8 @@ import time
 
 import pytest
 
-from partheap import (CostMeter, LinkedSet, Node, Trace, attach_ledger,
-                      gen, lemma_check, make_heap, run_trace, select_rank)
+from partheap import (CostMeter, LinkedSet, Node, Trace, gen, make_heap,
+                      run_trace, select_rank)
 
 HEAPS = ('lp', 'fhtng', 'exp')
 MAIN_PATTERNS = ('random', 'dijkstra-like', 'sawtooth', 'adversarial-dk')
@@ -31,20 +31,6 @@ def verdict(name, failures, detail=''):
     print('ACCEPTANCE %s: %s%s' % (name, state,
                                    (' -- ' + extra) if extra else ''))
     assert not failures, failures[:5]
-
-
-def replay_with_ledger(trace, impl):
-    heap = make_heap(impl)
-    ledger = attach_ledger(heap)
-    handles = []
-    for op in trace.ops:
-        if op[0] == 'i':
-            handles.append(heap.insert(op[1]))
-        elif op[0] == 'd':
-            heap.delete_min()
-        else:
-            heap.decrease_key(handles[op[1]], op[2])
-    return heap, ledger
 
 
 def test_criterion_1_differential_correctness():
@@ -92,8 +78,7 @@ def _criterion_3(impl):
     for pattern in MAIN_PATTERNS:
         for seed in range(3):
             trace = gen(pattern, 10_000, seed)
-            _, ledger = replay_with_ledger(trace, impl)
-            res = lemma_check(ledger)
+            res = run_trace(trace, impl=impl, phi=True).lemma
             checked += res.checked
             violations.extend((pattern, seed, repr(r), b)
                               for r, b in res.violations)

@@ -32,6 +32,11 @@ class TestRunner:
         res = run_trace(trace, impl='exp', collect_outputs=True)
         assert res.outputs == [('ok', 1), ('ok', 3)]
 
+    def test_oracle_impl_with_audits(self):
+        # the oracle heap has no structural audit; audit_every skips it
+        res = run_trace(gen('random', 300, 0), impl='oracle', audit_every=50)
+        assert res.ok, res
+
     def test_unknown_impl(self):
         with pytest.raises(ValueError):
             run_trace(Trace(), impl='zzz')
@@ -83,6 +88,12 @@ class TestCli:
             assert main(['run', str(trace), '--impl', impl,
                          '--oracle', '--audit-every', '100']) == 0
             capsys.readouterr()
+
+    def test_run_oracle_impl_with_audit_flag(self, tmp_path, capsys):
+        trace = self._gen(tmp_path)
+        assert main(['run', str(trace), '--impl', 'oracle',
+                     '--audit-every', '100']) == 0
+        assert 'ok: 300 ops on oracle' in capsys.readouterr().out
 
     def test_compare_command(self, tmp_path, capsys):
         trace = self._gen(tmp_path, ops=400, seed=5)

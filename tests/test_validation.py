@@ -72,21 +72,21 @@ class TestSimpleLazyHeap:
 class TestDifferentialRun:
 
     def test_empty_trace_passes(self):
-        assert differential_run(Trace(), LPHeap()).passed
+        assert differential_run(Trace(), LPHeap()).ok
 
     def test_sorted_drain(self):
         ops = [('i', k) for k in [5, 3, 8, 1, 9, 2, 7, 4, 6, 0]]
         ops += [('d',)] * 10
         for heap in (LPHeap(), FHTNGHeap(), ExpHeap()):
             res = differential_run(Trace(ops), heap)
-            assert res.passed, res
+            assert res.ok, res
 
     def test_error_outcomes_match(self):
         # an in-trace key increase must be rejected identically
         ops = [('i', 5), ('k', 0, 9), ('d',), ('k', 0, 1), ('d',)]
         for heap in (LPHeap(), FHTNGHeap(), ExpHeap()):
             res = differential_run(Trace(ops), heap)
-            assert res.passed, res
+            assert res.ok, res
 
     def test_divergence_reported_with_op_index(self):
         class LyingHeap(LPHeap):
@@ -95,9 +95,19 @@ class TestDifferentialRun:
                 return -1
         ops = [('i', 4), ('i', 2), ('d',)]
         res = differential_run(Trace(ops), LyingHeap())
-        assert not res.passed
-        assert res.op_index == 2
-        assert 'delete_min' in res.detail
+        assert not res.ok
+        assert res.fail_op == 2
+        assert 'delete_min' in res.reason
+
+    def test_find_min_divergence_reported_with_op_index(self):
+        class LyingHeap(LPHeap):
+            def find_min(self):
+                return super().find_min() + 1
+        ops = [('i', 4), ('i', 2), ('d',)]
+        res = differential_run(Trace(ops), LyingHeap())
+        assert not res.ok
+        assert res.fail_op == 0
+        assert 'find_min' in res.reason
 
     @pytest.mark.parametrize('impl', [LPHeap, FHTNGHeap, ExpHeap])
     @pytest.mark.parametrize('pattern', ['random', 'dijkstra-like',
@@ -105,7 +115,7 @@ class TestDifferentialRun:
     def test_patterns_vs_oracle(self, impl, pattern):
         trace = gen(pattern, 2000, seed=3)
         res = differential_run(trace, impl(), audit_every=64)
-        assert res.passed, res
+        assert res.ok, res
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from('iidk'),
@@ -137,7 +147,7 @@ class TestDifferentialRun:
         for impl in (LPHeap, FHTNGHeap, ExpHeap):
             heap = impl()
             res = differential_run(trace, heap, audit_every=25)
-            assert res.passed, (impl.__name__, res)
+            assert res.ok, (impl.__name__, res)
             assert audit(heap).passed
 
     def test_deterministic_given_trace_and_seed(self):
