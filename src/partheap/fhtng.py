@@ -28,6 +28,11 @@ An underfull slot 4 with slot 3 occupied has no empty slot above to
 refill, so its set is folded into slot 3 instead (slot 3 is exempt
 from the lower bound); any resulting oversize of slot 3 is repaired by
 the regular overflow path in the same pass.
+
+Restoration after a public operation first tests only the slot the
+operation resized, in O(1); it falls back to the full lowest-index
+scan of every nonempty slot when that slot is out of its band or when
+the operation emptied or created a slot (see ``_restore``).
 '''
 
 import random
@@ -59,6 +64,7 @@ class FibTable:
 
 
 FIB = FibTable()  # F_95 > 3.1e19 > 6 * 2^60, beyond any feasible n
+_FIB = FIB._vals  # plain list for the hot paths; only for indices >= 0
 
 _FIRST_SLOT = 3
 
@@ -176,13 +182,15 @@ class FHTNGHeap:
         c0 = meter.comparisons
         slot = self._place_slot(key)
         self.last_search_comparisons = meter.comparisons - c0
-        self.slot_sets[slot].append(node)
+        s = self.slot_sets[slot]
+        s.append(node)
         meter.node_moves += 1
         meter.list_links += 1
         self.n += 1
         if led is not None:
             led.record('insert', before=phi0, after=self.potential())
-        self._restore()
+        # size 1: _place_slot has just created slot 3
+        self._restore(slot if s.size > 1 else None)
         return node
 
     def delete_min(self):
@@ -205,7 +213,7 @@ class FHTNGHeap:
         if led is not None:
             led.record('delete_min', a=nonempty_before,
                        before=phi0, after=self.potential())
-        self._restore()
+        self._restore(j if s.size else None)
         return node.key[0]
 
     def decrease_key(self, node, user_key):
@@ -230,12 +238,13 @@ class FHTNGHeap:
             self._clear_slot(src)
         node.key = (user_key, node.key[1])
         phi1 = self.potential() if led is not None else None
-        self._restore()
+        self._restore(src if s.size else None)
         phi2 = self.potential() if led is not None else None
         c2 = meter.comparisons
         dst = self._place_slot(node.key)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c2)
-        self.slot_sets[dst].append(node)
+        s = self.slot_sets[dst]
+        s.append(node)
         meter.node_moves += 1
         meter.list_links += 1
         if led is not None:
@@ -245,11 +254,11 @@ class FHTNGHeap:
             before = tuple(a + c for a, c in zip(phi0, phi2))
             after = tuple(b + d for b, d in zip(phi1, phi3))
             led.record('decrease_key', before=before, after=after)
-        self._restore()
+        self._restore(dst if s.size > 1 else None)
 
     def potential(self):
         '''(nonempty, size, up) potential sums; pure observation.'''
-        fib = FIB
+        fib = _FIB
         sets = self.slot_sets
         pn = 0
         ps = 0
@@ -272,7 +281,27 @@ class FHTNGHeap:
     # ------------------------------------------------------------------
     # invariant restoration
 
-    def _restore(self):
+    def _restore(self, touched=None):
+        '''Apply restoring operations, lowest-index violation first,
+        until none is left.
+
+        ``touched`` names the one slot whose size a public operation
+        changed, when the operation neither emptied nor created a slot.
+        The structure is at rest before every public operation, since
+        the previous restoration ended with no violation.  With the set
+        of nonempty slots unchanged, the gap rule and the run rule hold
+        as before, and every other slot keeps its size.  So the only
+        possible violation is an over- or underflow at ``touched``: when
+        both size tests pass there, the full scan would find nothing
+        and is skipped.  Otherwise the full scan runs and reports the
+        same lowest-index violation it always did, so the order of
+        restorations, the meter and the ledger rows are unchanged.
+        '''
+        if touched is not None:
+            size = self.slot_sets[touched].size
+            if size < _FIB[touched + 3] and (
+                    touched == _FIRST_SLOT or size > _FIB[touched]):
+                return
         guard = 0
         limit = 4 * (len(self.slot_sets) + 4)
         while True:
@@ -298,7 +327,7 @@ class FHTNGHeap:
         '''Lowest-index violation: size bounds first at each slot, then
         a nine-empty gap (reported at the nonempty slot below it), then
         a three-nonempty run (reported at the run's last slot).'''
-        fib = FIB
+        fib = _FIB
         sets = self.slot_sets
         ne = self._ne
         prev = _FIRST_SLOT - 1

@@ -168,9 +168,12 @@ def _audit_fhtng(heap):
             report.fail('sandwich', 'min slot %d = %r below pivot %r'
                         % (i, lo, pivot))
         spans.append(('slot %d' % i, lo, hi))
-        if i > 3 and not fib[i] <= count <= fib[i + 3]:
-            report.fail('band', 'slot %d holds %d, band [%d, %d]'
-                        % (i, count, fib[i], fib[i + 3]))
+        if count >= fib[i + 3]:
+            report.fail('band', 'slot %d holds %d, not below F_%d = %d'
+                        % (i, count, i + 3, fib[i + 3]))
+        elif i > 3 and count <= fib[i]:
+            report.fail('band', 'slot %d holds %d, not above F_%d = %d'
+                        % (i, count, i, fib[i]))
         gap = (i - 3) if prev is None else (i - prev - 1)
         if gap > 8:
             report.fail('consecutive-empty',

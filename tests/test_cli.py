@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import partheap
 from partheap import Trace, gen, run_trace, compare_traces
 from partheap.cli import main
 from partheap.report import read_costs, summarize
@@ -57,6 +61,29 @@ class TestRunner:
         res = run_trace(trace, impl='lp', phi=True)
         assert res.ok
         assert res.lemma is not None and res.lemma.passed
+
+    def test_checked_replays_without_asserts(self):
+        # python -O strips assert statements: no heap may need them
+        script = '''
+from partheap import gen, run_trace
+from partheap.traces import PATTERNS
+if __debug__:
+    raise SystemExit('asserts still enabled')
+for pattern in PATTERNS:
+    for impl in ('lp', 'fhtng', 'exp'):
+        res = run_trace(gen(pattern, 3000, 0), impl=impl, oracle=True,
+                        audit_every=100, phi=True)
+        if res.fail_op is not None or res.lemma.sharp_violations:
+            print(pattern, impl, res.fail_op, res.reason, res.lemma)
+'''
+        src = os.path.dirname(os.path.dirname(partheap.__file__))
+        path = os.environ.get('PYTHONPATH')
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ''))
+        proc = subprocess.run([sys.executable, '-O', '-c', script], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ''
 
 
 class TestCli:

@@ -216,6 +216,13 @@ class TestAudit:
         report = audit(h)
         assert not report.passed
 
+    @pytest.mark.parametrize('shape', [{5: 21}, {6: 8}, {3: 8}])
+    def test_fhtng_band_is_exact(self, shape):
+        # full at F_8 = 21, underfull at F_6 = 8, slot 3 full at F_6 = 8
+        report = audit(make_fhtng_state(shape))
+        assert not report.passed
+        assert report.failures[0][0] == 'band'
+
     def test_audit_is_side_effect_free(self):
         h = make_fhtng_state({4: 5, 6: 13})
         shape_before = [(i, h.slot_sets[i].size) for i in h._ne]
