@@ -3,7 +3,10 @@
 For every heap and main trace pattern (seed 0, 4,000 ops) the file
 ``fingerprint.json`` pins the sha256 of the collected outputs, the final
 meter snapshot, the sha256 of the per-op costs CSV written with potential
-tracking on, and the repr of the potential budget verdict.  A refactor
+tracking on, the sha256 of every potential ledger row (op, a, b, nominal,
+before, after) and the repr of the potential budget verdict.  The three
+partition heaps are pinned with both selection strategies, 'det' under
+``<impl>/<pattern>`` and 'rand' under ``<impl>/<pattern>/rand``.  A refactor
 must pass this test with the file unchanged.  A change that means to
 alter outputs or the cost model rewrites the file with
 
@@ -26,38 +29,57 @@ IMPLS = ('lp', 'fhtng', 'exp', 'oracle')
 PATTERNS = ('random', 'dijkstra-like', 'sawtooth', 'adversarial-dk')
 OPS = 4000
 SEED = 0
+RAND_IMPLS = ('lp', 'fhtng', 'exp')
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     'fingerprint.json')
 
 
-def fingerprint(impl, pattern, costs_path):
+CASES = ([(impl, pattern, 'det') for impl in IMPLS for pattern in PATTERNS]
+         + [(impl, pattern, 'rand') for impl in RAND_IMPLS
+            for pattern in PATTERNS])
+
+
+def case_name(impl, pattern, select):
+    name = '%s/%s' % (impl, pattern)
+    return name if select == 'det' else '%s/%s' % (name, select)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fingerprint(impl, pattern, select, costs_path):
     trace = gen(pattern, OPS, SEED)
-    res = run_trace(trace, impl=impl, collect_outputs=True)
-    outputs = hashlib.sha256(repr(res.outputs).encode()).hexdigest()
+    res = run_trace(trace, impl=impl, select=select, collect_outputs=True)
+    outputs = sha256(repr(res.outputs))
     meter = list(res.heap.meter.snapshot())
-    res = run_trace(trace, impl=impl, phi=True, costs_path=costs_path)
+    res = run_trace(trace, impl=impl, select=select, phi=True,
+                    costs_path=costs_path)
     with open(costs_path, 'rb') as fh:
         costs = hashlib.sha256(fh.read()).hexdigest()
+    rows = res.ledger.rows if res.ledger is not None else []
+    ledger = sha256(repr([(r.op, r.a, r.b, r.nominal, r.before, r.after)
+                          for r in rows]))
     return {'outputs_sha256': outputs, 'meter': meter,
-            'costs_sha256': costs, 'lemma': repr(res.lemma)}
+            'costs_sha256': costs, 'ledger_sha256': ledger,
+            'lemma': repr(res.lemma)}
 
 
-@pytest.mark.parametrize('pattern', PATTERNS)
-@pytest.mark.parametrize('impl', IMPLS)
-def test_fingerprint_unchanged(impl, pattern, tmp_path):
+@pytest.mark.parametrize('impl,pattern,select', CASES,
+                         ids=[case_name(*c).replace('/', '-') for c in CASES])
+def test_fingerprint_unchanged(impl, pattern, select, tmp_path):
     with open(PATH) as fh:
         golden = json.load(fh)
-    got = fingerprint(impl, pattern, str(tmp_path / 'costs.csv'))
-    assert got == golden['%s/%s' % (impl, pattern)]
+    got = fingerprint(impl, pattern, select, str(tmp_path / 'costs.csv'))
+    assert got == golden[case_name(impl, pattern, select)]
 
 
 def write_golden():
     golden = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for impl in IMPLS:
-            for pattern in PATTERNS:
-                golden['%s/%s' % (impl, pattern)] = fingerprint(
-                    impl, pattern, os.path.join(tmp, 'costs.csv'))
+        for case in CASES:
+            golden[case_name(*case)] = fingerprint(
+                *case, os.path.join(tmp, 'costs.csv'))
     with open(PATH, 'w') as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write('\n')
