@@ -15,28 +15,25 @@ reports per-operation costs.
 '''
 
 from .core import (CostMeter, DeadHandleError, EmptyHeapError, Handle,
-                   HeapError, KeyOrderError, LinkedSet, Node, PivotIndex,
-                   pivot_search)
+                   HeapError, KeyOrderError, LinkedSet, Node, pivot_search)
 from .exp import ExpHeap
-from .fhtng import FHTNGHeap, FIB, FibTable
+from .fhtng import FHTNGHeap, FIB
 from .lp import LPHeap
 from .oracle import OracleHeap, SimpleLazyHeap
 from .potential import (PotentialLedger, attach_ledger, lemma_check)
-from .selection import (mom_select, quickselect, select_rank,
-                        select_rank_randomized, split_by_rank)
+from .selection import mom_select, quickselect, select_rank, split_by_rank
 from .traces import PATTERNS, Trace, gen
 from .runner import compare_traces, differential_run, make_heap, run_trace
 from .validation import AuditReport, audit
 
 __all__ = [
     'AuditReport', 'CostMeter', 'DeadHandleError', 'EmptyHeapError',
-    'ExpHeap', 'FHTNGHeap', 'FIB', 'FibTable', 'Handle', 'HeapError',
+    'ExpHeap', 'FHTNGHeap', 'FIB', 'Handle', 'HeapError',
     'KeyOrderError', 'LPHeap', 'LinkedSet', 'Node', 'OracleHeap',
-    'PATTERNS', 'PivotIndex', 'PotentialLedger', 'SimpleLazyHeap',
-    'Trace', 'attach_ledger', 'audit', 'compare_traces',
-    'differential_run', 'gen', 'lemma_check', 'make_heap', 'mom_select',
-    'pivot_search', 'quickselect', 'run_trace', 'select_rank',
-    'select_rank_randomized', 'split_by_rank',
+    'PATTERNS', 'PotentialLedger', 'SimpleLazyHeap', 'Trace',
+    'attach_ledger', 'audit', 'compare_traces', 'differential_run',
+    'gen', 'lemma_check', 'make_heap', 'mom_select', 'pivot_search',
+    'quickselect', 'run_trace', 'select_rank', 'split_by_rank',
 ]
 
 __version__ = '0.1.0'

@@ -10,7 +10,8 @@ keys.  This module provides the pieces they share:
   - Node / LinkedSet: the intrusive list.  A node is also the stable
     handle returned by ``insert``; it survives every restructuring and
     is what ``decrease_key`` and ``delete`` take.
-  - PivotIndex: a sorted array of pivot keys with counted binary search.
+  - pivot_search: counted binary search over a heap's sorted pivot
+    list, the one pivot search every heap uses.
   - CostMeter: plain counters that define the "actual cost" used by the
     instrumentation-level tests.
 '''
@@ -31,7 +32,8 @@ class DeadHandleError(HeapError):
 
 class KeyOrderError(HeapError):
     '''Raised when decrease_key is asked to increase a key (or
-    increase_key to decrease one).'''
+    increase_key to decrease one), or to move it to a key that does not
+    compare with the old one, such as NaN.'''
 
 
 class Node:
@@ -190,15 +192,17 @@ class CostMeter:
                 self.snapshot())
 
 
-def pivot_search(pivots, key, meter=None):
+def pivot_search(pivots, key, meter=None, lo=0):
     '''Locate ``key`` among sorted ``pivots``; return a 1-based position.
 
     Position ``i`` means the key belongs to the i-th interval: every
     pivot at index < i-1 is <= key and every later pivot is > key (the
     lower end of each interval is inclusive).  An empty pivot array
-    returns 1.  Uses ceil(lg(len+1)) key comparisons, all counted.
+    returns 1.  As with ``bisect``'s ``lo``, only ``pivots[lo:]`` is
+    searched and the pivots before it count as <= key, so the result
+    is at least lo + 1.  Uses ceil(lg(len - lo + 1)) key comparisons,
+    all counted.
     '''
-    lo = 0
     hi = len(pivots)
     comps = 0
     while lo < hi:
@@ -211,33 +215,3 @@ def pivot_search(pivots, key, meter=None):
     if meter is not None:
         meter.comparisons += comps
     return lo + 1
-
-
-class PivotIndex:
-    '''Sorted array of pivot keys supporting counted binary search.
-
-    The heap keeps its sets in a parallel sequence; ``search`` returns
-    the 1-based set position for a key.  ``keys[i]`` is the inclusive
-    lower bound of set position ``i + 2`` (the first set has none).
-    '''
-
-    __slots__ = ('keys',)
-
-    def __init__(self, keys=()):
-        self.keys = list(keys)
-
-    def __len__(self):
-        return len(self.keys)
-
-    def search(self, key, meter=None):
-        return pivot_search(self.keys, key, meter)
-
-    def rebuild(self, keys):
-        self.keys = list(keys)
-
-    def well_formed(self):
-        ks = self.keys
-        return all(ks[i] <= ks[i + 1] for i in range(len(ks) - 1))
-
-    def __repr__(self):
-        return 'PivotIndex(%r)' % (self.keys,)

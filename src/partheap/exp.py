@@ -15,7 +15,7 @@ whose lower bound can no longer be stated from live keys.
 import random
 
 from .core import (CostMeter, DeadHandleError, EmptyHeapError,
-                   KeyOrderError, LinkedSet, Node)
+                   KeyOrderError, LinkedSet, Node, pivot_search)
 from .selection import split_by_rank
 
 
@@ -74,19 +74,7 @@ class ExpHeap:
 
     def _find_pos(self, key):
         '''0-based set index with pivot <= key < next pivot.'''
-        pivots = self.pivots
-        lo = 1
-        hi = len(pivots)
-        comps = 0
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            comps += 1
-            if key < pivots[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.meter.comparisons += comps
-        return lo - 1
+        return pivot_search(self.pivots, key, self.meter, 1) - 2
 
     # ------------------------------------------------------------------
     # public operations
@@ -148,7 +136,7 @@ class ExpHeap:
         '''Lower the key of a live handle.'''
         if not node.alive:
             raise DeadHandleError('decrease_key on deleted element')
-        if user_key > node.key[0]:
+        if not user_key <= node.key[0]:
             raise KeyOrderError('decrease_key from %r to larger %r'
                                 % (node.key[0], user_key))
         meter = self.meter

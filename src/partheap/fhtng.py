@@ -24,6 +24,10 @@ three-part potential (nonempty / size / up):
   split_up        nine-empties-in-a-row: the set below the gap splits
                   golden-ratio-proportionally into the two slots above
 
+The Fibonacci numbers are the plain list ``FIB``.  The two nominal
+costs whose index can fall below 0, F_{i-4} for overflow_thru at slot
+3 and F_{i-6} for underflow_thru at slot 5, read F_0 = 0 there.
+
 An underfull slot 4 with slot 3 occupied has no empty slot above to
 refill, so its set is folded into slot 3 instead (slot 3 is exempt
 from the lower bound); any resulting oversize of slot 3 is repaired by
@@ -43,28 +47,10 @@ from .core import (CostMeter, DeadHandleError, EmptyHeapError,
 from .selection import split_by_rank
 
 
-class FibTable:
-    '''Precomputed Fibonacci numbers; indices <= 0 give 0.'''
-
-    __slots__ = ('_vals',)
-
-    def __init__(self, length=96):
-        vals = [0, 1, 1]
-        while len(vals) < length:
-            vals.append(vals[-1] + vals[-2])
-        self._vals = vals
-
-    def __getitem__(self, i):
-        if i <= 0:
-            return 0
-        return self._vals[i]
-
-    def __len__(self):
-        return len(self._vals)
-
-
-FIB = FibTable()  # F_95 > 3.1e19 > 6 * 2^60, beyond any feasible n
-_FIB = FIB._vals  # plain list for the hot paths; only for indices >= 0
+# F_0, F_1, ...: F_95 > 3.1e19 > 6 * 2^60, beyond any feasible n
+FIB = [0, 1]
+while len(FIB) < 96:
+    FIB.append(FIB[-1] + FIB[-2])
 
 _FIRST_SLOT = 3
 
@@ -220,7 +206,7 @@ class FHTNGHeap:
         '''Lower the key of a live handle.'''
         if not node.alive:
             raise DeadHandleError('decrease_key on deleted element')
-        if user_key > node.key[0]:
+        if not user_key <= node.key[0]:
             raise KeyOrderError('decrease_key from %r to larger %r'
                                 % (node.key[0], user_key))
         meter = self.meter
@@ -258,7 +244,7 @@ class FHTNGHeap:
 
     def potential(self):
         '''(nonempty, size, up) potential sums; pure observation.'''
-        fib = _FIB
+        fib = FIB
         sets = self.slot_sets
         pn = 0
         ps = 0
@@ -299,8 +285,8 @@ class FHTNGHeap:
         '''
         if touched is not None:
             size = self.slot_sets[touched].size
-            if size < _FIB[touched + 3] and (
-                    touched == _FIRST_SLOT or size > _FIB[touched]):
+            if size < FIB[touched + 3] and (
+                    touched == _FIRST_SLOT or size > FIB[touched]):
                 return
         guard = 0
         limit = 4 * (len(self.slot_sets) + 4)
@@ -327,7 +313,7 @@ class FHTNGHeap:
         '''Lowest-index violation: size bounds first at each slot, then
         a nine-empty gap (reported at the nonempty slot below it), then
         a three-nonempty run (reported at the run's last slot).'''
-        fib = _FIB
+        fib = FIB
         sets = self.slot_sets
         ne = self._ne
         prev = _FIRST_SLOT - 1
@@ -383,7 +369,7 @@ class FHTNGHeap:
         self._set_pivot(i + 1, low.min_node(meter).key)
         self._set_slot(i + 2, high, boundary)
         if led is not None:
-            led.record('overflow_thru', a=i, nominal=fib[i - 4],
+            led.record('overflow_thru', a=i, nominal=fib[max(i - 4, 0)],
                        before=phi0, after=self.potential())
 
     def _underflow(self, i):
@@ -420,7 +406,7 @@ class FHTNGHeap:
             self._set_pivot(i - 1, boundary)
             self._set_slot(i - 2, low, low.min_node(meter).key)
             if led is not None:
-                led.record('underflow_thru', a=i, nominal=fib[i - 6],
+                led.record('underflow_thru', a=i, nominal=fib[max(i - 6, 0)],
                            before=phi0, after=self.potential())
             return
         # i == 4 and slot 3 occupied: nowhere above to refill

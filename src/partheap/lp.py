@@ -15,9 +15,12 @@ control flow.
 
 import random
 
+# core.pivot_search is looked up per call, so a wrapper installed on it
+# (perfbench --trace 1) sees LP's searches too
+from . import core
 from .core import (CostMeter, DeadHandleError, EmptyHeapError,
-                   KeyOrderError, LinkedSet, Node, PivotIndex)
-from .selection import split_by_rank
+                   KeyOrderError, LinkedSet, Node)
+from .selection import partition_nodes, split_by_rank
 
 
 class LPHeap:
@@ -37,7 +40,7 @@ class LPHeap:
         if selection not in ('det', 'rand'):
             raise ValueError('selection must be "det" or "rand"')
         self.sets = []
-        self.index = PivotIndex()
+        self.pivots = []  # pivots[j] bounds sets[j + 1] below
         self.n = 0
         self.beta = beta
         self.cached_min = None
@@ -71,7 +74,7 @@ class LPHeap:
         if not self.sets:
             self.sets.append(LinkedSet())
         c0 = meter.comparisons
-        pos = self.index.search(key, meter)
+        pos = core.pivot_search(self.pivots, key, meter)
         self.last_search_comparisons = meter.comparisons - c0
         self.sets[pos - 1].append(node)
         meter.node_moves += 1
@@ -137,20 +140,20 @@ class LPHeap:
         '''Lower the key of a live handle (moves it toward the front).'''
         if not node.alive:
             raise DeadHandleError('decrease_key on deleted element')
-        if user_key > node.key[0]:
+        if not user_key <= node.key[0]:
             raise KeyOrderError('decrease_key from %r to larger %r'
                                 % (node.key[0], user_key))
         meter = self.meter
         led = self.ledger
         phi0 = self.potential_phi() if led is not None else 0
         c0 = meter.comparisons
-        pos = self.index.search(node.key, meter)
+        pos = core.pivot_search(self.pivots, node.key, meter)
         c1 = meter.comparisons
         src = self.sets[pos - 1]
         src.remove(node)
         meter.list_links += 1
         node.key = (user_key, node.key[1])
-        dst_pos = self.index.search(node.key, meter)
+        dst_pos = core.pivot_search(self.pivots, node.key, meter)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c1)
         assert dst_pos <= pos
         self.sets[dst_pos - 1].append(node)
@@ -169,7 +172,7 @@ class LPHeap:
         if not node.alive:
             raise DeadHandleError('delete on deleted element')
         meter = self.meter
-        pos = self.index.search(node.key, meter)
+        pos = core.pivot_search(self.pivots, node.key, meter)
         self.sets[pos - 1].remove(node)
         meter.list_links += 1
         node.alive = False
@@ -186,11 +189,11 @@ class LPHeap:
         tie-break counter).'''
         if not node.alive:
             raise DeadHandleError('increase_key on deleted element')
-        if user_key < node.key[0]:
+        if not user_key >= node.key[0]:
             raise KeyOrderError('increase_key from %r to smaller %r'
                                 % (node.key[0], user_key))
         meter = self.meter
-        pos = self.index.search(node.key, meter)
+        pos = core.pivot_search(self.pivots, node.key, meter)
         self.sets[pos - 1].remove(node)
         meter.list_links += 1
         was_min = node is self.cached_min
@@ -198,7 +201,7 @@ class LPHeap:
         self._forget_pivots()
         if not self.sets:
             self.sets.append(LinkedSet())
-        dst_pos = self.index.search(node.key, meter)
+        dst_pos = core.pivot_search(self.pivots, node.key, meter)
         self.sets[dst_pos - 1].append(node)
         meter.node_moves += 1
         meter.list_links += 1
@@ -249,37 +252,18 @@ class LPHeap:
             r = (size + 1) // 2  # larger median: low side never smaller
             low, high, pivot = split_by_rank(s, r, self.meter)
         self.sets[0:1] = [low, high]
-        self.index.keys.insert(0, pivot)
+        self.pivots.insert(0, pivot)
         return size
 
     def _random_split(self, s):
         '''Single partition round around a uniformly random non-minimum
         element, so both sides are nonempty.'''
         meter = self.meter
-        nodes = list(s.iter_nodes())
-        size = len(nodes)
-        s.head.next = s.tail
-        s.tail.prev = s.head
-        s.size = 0
-        min_i = 0
-        for i in range(1, size):
-            if nodes[i].key < nodes[min_i].key:
-                min_i = i
-        j = self._rng.randrange(size - 1)
-        if j >= min_i:
-            j += 1
-        pivot = nodes[j].key
-        low = LinkedSet()
-        high = LinkedSet()
-        for node in nodes:
-            if node.key < pivot:
-                low.append(node)
-            else:
-                high.append(node)
-        meter.comparisons += 2 * size - 1
-        meter.node_moves += size
-        meter.list_links += size
-        meter.selection_elements += 2 * size
+        least = s.min_node(meter)
+        others = [node for node in s.iter_nodes() if node is not least]
+        pivot = others[self._rng.randrange(len(others))].key
+        meter.selection_elements += s.size  # the minimum scan
+        low, high = partition_nodes(s, pivot, meter)
         return low, high, pivot
 
     def _forget_pivots(self):
@@ -288,7 +272,7 @@ class LPHeap:
         set keeps absorbing successors until the rule no longer fires.
         O(l) plus O(1) per concatenation.'''
         sets = self.sets
-        pivots = self.index.keys
+        pivots = self.pivots
         meter = self.meter
         new_sets = []
         new_pivots = []
@@ -308,7 +292,7 @@ class LPHeap:
                 new_pivots.append(pivots[i - 1])
                 new_sets.append(s)
         self.sets = new_sets
-        pivots[:] = new_pivots
+        self.pivots = new_pivots
         self._fresh_partition = True
 
     def __repr__(self):

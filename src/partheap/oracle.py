@@ -87,7 +87,7 @@ class OracleHeap:
         if not handle.alive:
             raise DeadHandleError('decrease_key on deleted element')
         old = handle.entry
-        if user_key > old.key[0]:
+        if not user_key <= old.key[0]:
             raise KeyOrderError('decrease_key from %r to larger %r'
                                 % (old.key[0], user_key))
         old.stale = True
@@ -167,7 +167,7 @@ class SimpleLazyHeap:
     def decrease_key(self, node, user_key):
         if not node.alive:
             raise DeadHandleError('decrease_key on deleted element')
-        if user_key > node.key[0]:
+        if not user_key <= node.key[0]:
             raise KeyOrderError('decrease_key from %r to larger %r'
                                 % (node.key[0], user_key))
         self._find_set(node.key).remove(node)

@@ -80,7 +80,7 @@ def _check_order(report, spans):
 def _audit_lp(heap):
     report = AuditReport('lp')
     sets = heap.sets
-    pivots = heap.index.keys
+    pivots = heap.pivots
     if sets and len(pivots) != len(sets) - 1:
         report.fail('index', '%d sets but %d pivots'
                     % (len(sets), len(pivots)))

@@ -30,7 +30,7 @@ def make_lp_state(sizes, beta=4, selection='det', seed=0):
         _fill(s, heap, (j + 1) * BLOCK, size)
         heap.sets.append(s)
         if j >= 1:
-            heap.index.keys.append(((j + 1) * BLOCK, -1))
+            heap.pivots.append(((j + 1) * BLOCK, -1))
         heap.n += size
     if heap.n:
         first = next(s for s in heap.sets if s.size)

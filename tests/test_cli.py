@@ -86,6 +86,22 @@ for pattern in PATTERNS:
         assert proc.stdout == ''
 
 
+class TestTracedBenchmark:
+
+    def test_checked_workload_traced_run_is_correct(self):
+        # the traced run wraps heap internals by name, so a refactor
+        # that drops one fails here rather than in the benchmark
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        run = os.path.join(root, 'perfbench', 'run.py')
+        proc = subprocess.run(
+            [sys.executable, run, '--workload', 'checked', '--seed', '1',
+             '--seconds', '1', '--trace', '1'],
+            cwd=root, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result['correct'] is True, result['failed']
+
+
 class TestCli:
 
     def _gen(self, tmp_path, pattern='random', ops=300, seed=0):

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from partheap import CostMeter, LinkedSet, Node, PivotIndex, pivot_search
+from partheap import CostMeter, LinkedSet, Node, pivot_search
 
 
 def fill(keys):
@@ -74,11 +74,16 @@ class TestPivotSearch:
         # linear-scan oracle: pivots <= 9 are {3, 8}, so position 3
         assert pivot_search([3, 8, 20], 9) == 3
 
-    @given(st.lists(st.integers(0, 100), max_size=64), st.integers(-5, 110))
-    def test_agrees_with_linear_scan(self, raw, key):
+    @given(st.lists(st.integers(0, 100), max_size=64), st.integers(-5, 110),
+           st.data())
+    def test_agrees_with_linear_scan(self, raw, key, data):
         pivots = sorted(raw)
         expect = 1 + sum(1 for p in pivots if p <= key)
         assert pivot_search(pivots, key) == expect
+        # a start index counts the pivots before it as <= key
+        lo = data.draw(st.integers(0, len(pivots)))
+        expect = 1 + lo + sum(1 for p in pivots[lo:] if p <= key)
+        assert pivot_search(pivots, key, None, lo) == expect
 
     @given(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=64),
            st.integers(0, 1 << 20))
@@ -91,14 +96,6 @@ class TestPivotSearch:
         while (1 << budget) < ell:
             budget += 1
         assert meter.comparisons <= budget + 1
-
-    def test_pivot_index_wrapper(self):
-        idx = PivotIndex([3, 8, 20])
-        assert idx.well_formed()
-        assert idx.search(9) == 3
-        idx.rebuild([1, 2])
-        assert len(idx) == 2
-        assert PivotIndex([5, 2]).well_formed() is False
 
 
 class TestCostMeter:

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from conftest import drain, keys_of, make_fhtng_state
-from partheap import (EmptyHeapError, FHTNGHeap, FIB, FibTable,
-                      KeyOrderError, attach_ledger, audit, gen, lemma_check)
+from partheap import (EmptyHeapError, FHTNGHeap, FIB, KeyOrderError,
+                      attach_ledger, audit, gen, lemma_check)
 from partheap.fhtng import proportional_split_sizes
 
 
@@ -19,13 +19,11 @@ def multiset(heap):
 
 class TestFibTable:
 
-    def test_recurrence_and_floor(self):
-        fib = FibTable(30)
-        assert fib[1] == fib[2] == 1
-        assert fib[0] == 0
-        assert fib[-5] == 0
-        for i in range(3, 30):
-            assert fib[i] == fib[i - 1] + fib[i - 2]
+    def test_recurrence(self):
+        assert FIB[0] == 0
+        assert FIB[1] == FIB[2] == 1
+        for i in range(3, len(FIB)):
+            assert FIB[i] == FIB[i - 1] + FIB[i - 2]
 
     def test_known_values(self):
         assert FIB[6] == 8 and FIB[7] == 13 and FIB[8] == 21
@@ -228,6 +226,20 @@ class TestRestoringOps:
         merges = [row for row in led.rows if row.op == 'merge_down']
         assert len(merges) == 2
         assert [row.a for row in merges] == [5, 8]
+        assert audit(h).passed
+
+    @pytest.mark.parametrize('shape,op,slot', [
+        ({3: 8, 4: 5}, 'overflow_thru', 3),
+        ({4: 13, 5: 8}, 'overflow_thru', 4),
+        ({4: 5, 5: 3}, 'underflow_thru', 5),
+    ])
+    def test_nominal_cost_below_f0_reads_zero(self, shape, op, slot):
+        # F_{i-4} and F_{i-6} index below F_0 at the lowest slots
+        h = make_fhtng_state(shape)
+        led = attach_ledger(h)
+        h._restore()
+        row = led.rows[0]
+        assert (row.op, row.a, row.nominal) == (op, slot, 0)
         assert audit(h).passed
 
     def test_restore_noop_when_clean(self):

@@ -48,7 +48,7 @@ class TestDeleteMin:
         assert [s.size for s in h.sets] == [2, 2]
         assert keys_of(h.sets[0]) == [3, 5]
         assert keys_of(h.sets[1]) == [7, 9]
-        assert h.index.keys[0][0] == 7
+        assert h.pivots[0][0] == 7
 
     def test_single_element(self):
         h = LPHeap()
@@ -117,7 +117,7 @@ class TestForgetPivots:
         h = make_lp_state([0, 3])
         h._forget_pivots()
         assert [s.size for s in h.sets] == [3]
-        assert h.index.keys == []
+        assert h.pivots == []
 
     def test_merged_set_keeps_absorbing(self):
         # after merging, the pass continues with the merged set
@@ -207,7 +207,7 @@ class TestDeleteAndIncrease:
         node = next(h.sets[0].iter_nodes())
         h.delete(node)
         assert [s.size for s in h.sets] == [3]
-        assert h.index.keys == []
+        assert h.pivots == []
         assert h.find_min() == 2000
         assert audit(h).passed
 

@@ -5,8 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from partheap import (CostMeter, LinkedSet, Node, select_rank,
-                      select_rank_randomized, split_by_rank)
+from partheap import CostMeter, LinkedSet, Node, select_rank, split_by_rank
 
 
 def fill(keys):
@@ -74,22 +73,22 @@ class TestSelectRankRandomized:
         for seed in range(10):
             rng = random.Random(seed)
             s = fill([5, 3, 9, 7, 1])
-            assert select_rank_randomized(s, 4, rng) == 7
+            assert select_rank(s, 4, rng=rng) == 7
 
     def test_small_cases(self):
         rng = random.Random(0)
-        assert select_rank_randomized(fill([3, 1, 2]), 2, rng) == 2
+        assert select_rank(fill([3, 1, 2]), 2, rng=rng) == 2
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
-            select_rank_randomized(fill([1]), 2, random.Random(0))
+            select_rank(fill([1]), 2, rng=random.Random(0))
 
     @given(st.lists(st.integers(), min_size=1, max_size=200),
            st.integers(0, 999), st.data())
     def test_matches_sort_oracle(self, keys, seed, data):
         r = data.draw(st.integers(1, len(keys)))
         rng = random.Random(seed)
-        assert select_rank_randomized(fill(keys), r, rng) == sorted(keys)[r - 1]
+        assert select_rank(fill(keys), r, rng=rng) == sorted(keys)[r - 1]
 
 
 class TestSplitByRank:

@@ -69,6 +69,28 @@ class TestSimpleLazyHeap:
         assert h.n == 0
 
 
+class TestUnorderableKeys:
+
+    @pytest.mark.parametrize('cls', [LPHeap, FHTNGHeap, ExpHeap, OracleHeap,
+                                     SimpleLazyHeap])
+    def test_decrease_key_to_nan_rejected(self, cls):
+        h = cls()
+        handles = [h.insert(k) for k in (5, 3, 8, 1, 9)]
+        with pytest.raises(KeyOrderError):
+            h.decrease_key(handles[2], float('nan'))
+        if cls not in (OracleHeap, SimpleLazyHeap):
+            assert audit(h).passed
+        assert [h.delete_min() for _ in range(5)] == [1, 3, 5, 8, 9]
+
+    def test_lp_increase_key_to_nan_rejected(self):
+        h = LPHeap()
+        handles = [h.insert(k) for k in (5, 3, 8, 1, 9)]
+        with pytest.raises(KeyOrderError):
+            h.increase_key(handles[0], float('nan'))
+        assert audit(h).passed
+        assert [h.delete_min() for _ in range(5)] == [1, 3, 5, 8, 9]
+
+
 class TestDifferentialRun:
 
     def test_empty_trace_passes(self):
