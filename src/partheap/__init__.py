@@ -14,8 +14,9 @@ checks; the ``partheap`` CLI generates and replays workloads and
 reports per-operation costs.
 '''
 
-from .core import (CostMeter, DeadHandleError, EmptyHeapError, Handle,
-                   HeapError, KeyOrderError, LinkedSet, Node, pivot_search)
+from .core import (CostMeter, DeadHandleError, EmptyHeapError,
+                   ForeignHandleError, Handle, HeapError, KeyOrderError,
+                   LinkedSet, Node, pivot_search)
 from .exp import ExpHeap
 from .fhtng import FHTNGHeap, FIB
 from .lp import LPHeap
@@ -28,7 +29,8 @@ from .validation import AuditReport, audit
 
 __all__ = [
     'AuditReport', 'CostMeter', 'DeadHandleError', 'EmptyHeapError',
-    'ExpHeap', 'FHTNGHeap', 'FIB', 'Handle', 'HeapError',
+    'ExpHeap', 'FHTNGHeap', 'FIB', 'ForeignHandleError', 'Handle',
+    'HeapError',
     'KeyOrderError', 'LPHeap', 'LinkedSet', 'Node', 'OracleHeap',
     'PATTERNS', 'PotentialLedger', 'SimpleLazyHeap', 'Trace',
     'attach_ledger', 'audit', 'compare_traces', 'differential_run',

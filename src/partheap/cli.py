@@ -42,7 +42,6 @@ def _build_parser():
     p_cmp.add_argument('--impls', default='lp,fhtng,exp')
     p_cmp.add_argument('--select', default='det', choices=('det', 'rand'))
     p_cmp.add_argument('--seed', type=int, default=0)
-    p_cmp.add_argument('--workers', type=int, default=1)
 
     p_rep = sub.add_parser('report', help='summarize cost files')
     p_rep.add_argument('costs', nargs='+')
@@ -90,8 +89,7 @@ def _cmd_compare(args):
             print('unknown implementation %r' % impl)
             return 2
     all_equal, results = compare_traces(trace, impls, select=args.select,
-                                        seed=args.seed,
-                                        workers=args.workers)
+                                        seed=args.seed)
     for impl in impls:
         outs = results[impl]
         print('%-6s %d delete_min outputs' % (impl, len(outs)))

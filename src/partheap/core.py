@@ -10,11 +10,18 @@ keys.  This module provides the pieces they share:
   - Node / LinkedSet: the intrusive list.  A node is also the stable
     handle returned by ``insert``; it survives every restructuring and
     is what ``decrease_key`` and ``delete`` take.
+  - PartitionHeap: the API boundary LPHeap, FHTNGHeap and ExpHeap
+    inherit.  It owns their common state and the checks every public
+    operation makes before it mutates anything: a key that is not
+    equal to itself (NaN) is refused at insert, a handle must belong
+    to this heap and be live, and decrease-key never raises a key.
   - pivot_search: counted binary search over a heap's sorted pivot
     list, the one pivot search every heap uses.
   - CostMeter: plain counters that define the "actual cost" used by the
     instrumentation-level tests.
 '''
+
+import random
 
 
 class HeapError(Exception):
@@ -30,10 +37,16 @@ class DeadHandleError(HeapError):
     was already deleted.'''
 
 
+class ForeignHandleError(HeapError):
+    '''Raised when an operation is given a handle that another heap
+    returned.'''
+
+
 class KeyOrderError(HeapError):
-    '''Raised when decrease_key is asked to increase a key (or
-    increase_key to decrease one), or to move it to a key that does not
-    compare with the old one, such as NaN.'''
+    '''Raised when insert is given a key that is not equal to itself,
+    such as NaN; when decrease_key is asked to increase a key (or
+    increase_key to decrease one); or when either is asked to move a
+    key to one that does not compare with the old one, such as NaN.'''
 
 
 class Node:
@@ -41,15 +54,17 @@ class Node:
 
     ``key`` is a ``(user_key, seq)`` tuple.  ``alive`` turns False when
     the element leaves the heap for good; restructuring never touches it.
+    ``owner`` is the heap that made the node (None for list sentinels).
     '''
 
-    __slots__ = ('key', 'prev', 'next', 'alive')
+    __slots__ = ('key', 'prev', 'next', 'alive', 'owner')
 
-    def __init__(self, key):
+    def __init__(self, key, owner=None):
         self.key = key
         self.prev = None
         self.next = None
         self.alive = True
+        self.owner = owner
 
     def __repr__(self):
         state = '' if self.alive else ', dead'
@@ -151,6 +166,62 @@ class LinkedSet:
 
     def __repr__(self):
         return 'LinkedSet(size=%d)' % self.size
+
+
+class PartitionHeap:
+    '''The API boundary shared by the partition heaps.
+
+    Subclasses keep their public operations and restructuring in their
+    own class bodies; this class holds the state they all start with
+    and the checks their public operations make before any mutation.
+    ``selection`` is 'det' or 'rand'; 'rand' seeds ``_rng`` with
+    ``seed``, and 'det' leaves it None.
+    '''
+
+    def __init__(self, selection='det', seed=0):
+        if selection not in ('det', 'rand'):
+            raise ValueError('selection must be "det" or "rand"')
+        self._rng = random.Random(seed) if selection == 'rand' else None
+        self.n = 0
+        self.meter = CostMeter()
+        self.ledger = None
+        self.last_search_comparisons = 0
+        self._seq = 0
+
+    def __len__(self):
+        return self.n
+
+    def _node(self, user_key):
+        '''A new handle keyed ``(user_key, seq)``.  A key that is not
+        equal to itself (NaN) would break the total order, so it is
+        refused.  The test is ``!=``, not an ordering comparison, so it
+        is not a key comparison the meter or a counting key sees.'''
+        if user_key != user_key:
+            raise KeyOrderError('key %r is not equal to itself' % (user_key,))
+        node = Node((user_key, self._seq), self)
+        self._seq += 1
+        return node
+
+    def _lowered(self, node, user_key):
+        '''The key ``node`` gets from decrease_key(node, user_key), after
+        checking the handle and the order rule.  The checks are inline,
+        so a decrease_key pays one extra call for them.'''
+        if node.owner is not self:
+            raise ForeignHandleError("decrease_key on another heap's handle")
+        if not node.alive:
+            raise DeadHandleError('decrease_key on deleted element')
+        key = node.key
+        if not user_key <= key[0]:
+            raise KeyOrderError('decrease_key from %r to larger %r'
+                                % (key[0], user_key))
+        return (user_key, key[1])
+
+    def _check(self, node, op):
+        '''Refuse a handle of another heap or of a deleted element.'''
+        if node.owner is not self:
+            raise ForeignHandleError("%s on another heap's handle" % op)
+        if not node.alive:
+            raise DeadHandleError('%s on deleted element' % op)
 
 
 class CostMeter:

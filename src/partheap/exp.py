@@ -12,10 +12,7 @@ Pivots use a TOP sentinel when a pull's swap branch empties a set
 whose lower bound can no longer be stated from live keys.
 '''
 
-import random
-
-from .core import (CostMeter, DeadHandleError, EmptyHeapError,
-                   KeyOrderError, LinkedSet, Node, pivot_search)
+from .core import EmptyHeapError, LinkedSet, PartitionHeap, pivot_search
 from .selection import split_by_rank
 
 
@@ -43,7 +40,7 @@ class _Top:
 TOP = _Top()
 
 
-class ExpHeap:
+class ExpHeap(PartitionHeap):
     '''Addressable min-heap over exponentially capped sets.
 
     API: insert(key) -> handle, delete_min(), decrease_key(handle, key).
@@ -54,19 +51,9 @@ class ExpHeap:
     kind = 'exp'
 
     def __init__(self, selection='det', seed=0):
-        if selection not in ('det', 'rand'):
-            raise ValueError('selection must be "det" or "rand"')
+        super().__init__(selection, seed)
         self.sets = [LinkedSet()]
         self.pivots = [None]  # pivots[k] bounds sets[k] below; [0] unused
-        self.n = 0
-        self.meter = CostMeter()
-        self.ledger = None
-        self._seq = 0
-        self._rng = random.Random(seed) if selection == 'rand' else None
-        self.last_search_comparisons = 0
-
-    def __len__(self):
-        return self.n
 
     @property
     def num_sets(self):
@@ -84,11 +71,9 @@ class ExpHeap:
         meter = self.meter
         led = self.ledger
         phi0 = self.potential() if led is not None else None
-        key = (user_key, self._seq)
-        self._seq += 1
-        node = Node(key)
+        node = self._node(user_key)
         c0 = meter.comparisons
-        pos = self._find_pos(key)
+        pos = self._find_pos(node.key)
         self.last_search_comparisons = meter.comparisons - c0
         s = self.sets[pos]
         s.append(node)
@@ -124,8 +109,7 @@ class ExpHeap:
         elif (1 << (len(self.sets) - 1)) > self.n:
             last = self.sets.pop()
             self.pivots.pop()
-            self.sets[-1].concat(last)
-            meter.list_links += 1
+            self.sets[-1].concat(last, meter)
             assert (1 << (len(self.sets) - 1)) <= self.n
         if led is not None:
             led.record('delete_min', a=ell,
@@ -134,11 +118,7 @@ class ExpHeap:
 
     def decrease_key(self, node, user_key):
         '''Lower the key of a live handle.'''
-        if not node.alive:
-            raise DeadHandleError('decrease_key on deleted element')
-        if not user_key <= node.key[0]:
-            raise KeyOrderError('decrease_key from %r to larger %r'
-                                % (node.key[0], user_key))
+        key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
         phi0 = self.potential() if led is not None else None
@@ -147,8 +127,8 @@ class ExpHeap:
         c1 = meter.comparisons
         self.sets[pos].remove(node)
         meter.list_links += 1
-        node.key = (user_key, node.key[1])
-        dst = self._find_pos(node.key)
+        node.key = key
+        dst = self._find_pos(key)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c1)
         assert dst <= pos
         s = self.sets[dst]
@@ -203,8 +183,7 @@ class ExpHeap:
                 break
             target = sets[j - 1]
             if target.size < (1 << j):
-                target.concat(moving)
-                meter.list_links += 1
+                target.concat(moving, meter)
                 pivots[j - 1] = moving_min
                 break
             sets[j - 1] = moving

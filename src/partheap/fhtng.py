@@ -39,11 +39,9 @@ scan of every nonempty slot when that slot is out of its band or when
 the operation emptied or created a slot (see ``_restore``).
 '''
 
-import random
 from bisect import bisect_left
 
-from .core import (CostMeter, DeadHandleError, EmptyHeapError,
-                   KeyOrderError, LinkedSet, Node, pivot_search)
+from .core import EmptyHeapError, LinkedSet, PartitionHeap, pivot_search
 from .selection import split_by_rank
 
 
@@ -76,7 +74,7 @@ def proportional_split_sizes(i, size):
     return a, b
 
 
-class FHTNGHeap:
+class FHTNGHeap(PartitionHeap):
     '''Addressable min-heap over Fibonacci-banded slots.
 
     API: insert(key) -> handle, delete_min(), decrease_key(handle, key),
@@ -88,21 +86,10 @@ class FHTNGHeap:
     kind = 'fhtng'
 
     def __init__(self, selection='det', seed=0):
-        if selection not in ('det', 'rand'):
-            raise ValueError('selection must be "det" or "rand"')
+        super().__init__(selection, seed)
         self.slot_sets = [None] * (_FIRST_SLOT + 1)
-        self.slot_pivots = [None] * (_FIRST_SLOT + 1)
         self._ne = []        # sorted indices of nonempty slots
         self._ne_pivs = []   # their pivots, same order
-        self.n = 0
-        self.meter = CostMeter()
-        self.ledger = None
-        self._seq = 0
-        self._rng = random.Random(seed) if selection == 'rand' else None
-        self.last_search_comparisons = 0
-
-    def __len__(self):
-        return self.n
 
     # ------------------------------------------------------------------
     # slot bookkeeping
@@ -110,27 +97,24 @@ class FHTNGHeap:
     def _grow(self, i):
         while len(self.slot_sets) <= i:
             self.slot_sets.append(None)
-            self.slot_pivots.append(None)
 
     def _set_slot(self, i, linked_set, pivot):
         self._grow(i)
         assert self.slot_sets[i] is None
         self.slot_sets[i] = linked_set
-        self.slot_pivots[i] = pivot
         pos = bisect_left(self._ne, i)
         self._ne.insert(pos, i)
         self._ne_pivs.insert(pos, pivot)
 
     def _clear_slot(self, i):
+        '''Empty slot i; return the pivot it held.'''
         self.slot_sets[i] = None
-        self.slot_pivots[i] = None
         pos = bisect_left(self._ne, i)
         assert self._ne[pos] == i
         del self._ne[pos]
-        del self._ne_pivs[pos]
+        return self._ne_pivs.pop(pos)
 
     def _set_pivot(self, i, pivot):
-        self.slot_pivots[i] = pivot
         pos = bisect_left(self._ne, i)
         assert self._ne[pos] == i
         self._ne_pivs[pos] = pivot
@@ -146,11 +130,9 @@ class FHTNGHeap:
             self._set_slot(_FIRST_SLOT, LinkedSet(), key)
         else:
             self.meter.comparisons += 1
-            if key < self.slot_pivots[_FIRST_SLOT]:
+            if key < self._ne_pivs[0]:
                 # slot 3 is the first set; its stored pivot is only a
                 # lower bound, kept tight so the sandwich audit is exact
-                assert self._ne[0] == _FIRST_SLOT
-                self.slot_pivots[_FIRST_SLOT] = key
                 self._ne_pivs[0] = key
         return _FIRST_SLOT
 
@@ -162,11 +144,9 @@ class FHTNGHeap:
         meter = self.meter
         led = self.ledger
         phi0 = self.potential() if led is not None else None
-        key = (user_key, self._seq)
-        self._seq += 1
-        node = Node(key)
+        node = self._node(user_key)
         c0 = meter.comparisons
-        slot = self._place_slot(key)
+        slot = self._place_slot(node.key)
         self.last_search_comparisons = meter.comparisons - c0
         s = self.slot_sets[slot]
         s.append(node)
@@ -204,11 +184,7 @@ class FHTNGHeap:
 
     def decrease_key(self, node, user_key):
         '''Lower the key of a live handle.'''
-        if not node.alive:
-            raise DeadHandleError('decrease_key on deleted element')
-        if not user_key <= node.key[0]:
-            raise KeyOrderError('decrease_key from %r to larger %r'
-                                % (node.key[0], user_key))
+        key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
         phi0 = self.potential() if led is not None else None
@@ -222,12 +198,12 @@ class FHTNGHeap:
         meter.list_links += 1
         if s.size == 0:
             self._clear_slot(src)
-        node.key = (user_key, node.key[1])
+        node.key = key
         phi1 = self.potential() if led is not None else None
         self._restore(src if s.size else None)
         phi2 = self.potential() if led is not None else None
         c2 = meter.comparisons
-        dst = self._place_slot(node.key)
+        dst = self._place_slot(key)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c2)
         s = self.slot_sets[dst]
         s.append(node)
@@ -348,9 +324,7 @@ class FHTNGHeap:
         s = self.slot_sets[i]
         if self.slot_sets[i + 1] is None:
             phi0 = self.potential() if led is not None else None
-            pivot = self.slot_pivots[i]
-            self._clear_slot(i)
-            self._set_slot(i + 1, s, pivot)
+            self._set_slot(i + 1, s, self._clear_slot(i))
             meter.list_links += 1
             if led is not None:
                 led.record('overflow_down', a=i, nominal=1,
@@ -362,8 +336,7 @@ class FHTNGHeap:
         target = self.slot_sets[i + 1]
         keep = target.size
         self._clear_slot(i)
-        target.concat(s)
-        meter.list_links += 1
+        target.concat(s, meter)
         low, high, boundary = split_by_rank(target, keep, meter, self._rng)
         self.slot_sets[i + 1] = low
         self._set_pivot(i + 1, low.min_node(meter).key)
@@ -383,9 +356,7 @@ class FHTNGHeap:
         assert i > _FIRST_SLOT and s.size <= fib[i]
         if self.slot_sets[i - 1] is None:
             phi0 = self.potential() if led is not None else None
-            pivot = self.slot_pivots[i]
-            self._clear_slot(i)
-            self._set_slot(i - 1, s, pivot)
+            self._set_slot(i - 1, s, self._clear_slot(i))
             meter.list_links += 1
             if led is not None:
                 led.record('underflow_up', a=i, nominal=1,
@@ -397,8 +368,7 @@ class FHTNGHeap:
             upper = self.slot_sets[i - 1]
             keep = upper.size
             take = s.size
-            upper.concat(s)
-            meter.list_links += 1
+            upper.concat(s, meter)
             self._clear_slot(i)
             low, high, boundary = split_by_rank(upper, take, meter, self._rng)
             assert high.size == keep
@@ -412,8 +382,7 @@ class FHTNGHeap:
         # i == 4 and slot 3 occupied: nowhere above to refill
         phi0 = self.potential() if led is not None else None
         s3 = self.slot_sets[_FIRST_SLOT]
-        s3.concat(s)
-        meter.list_links += 1
+        s3.concat(s, meter)
         self._clear_slot(i)
         if led is not None:
             led.record('bottom_merge', a=i, nominal=1,
@@ -428,13 +397,10 @@ class FHTNGHeap:
         self._grow(i + 1)
         assert self.slot_sets[i + 1] is None
         merged = self.slot_sets[i - 1]
-        pivot = self.slot_pivots[i - 1]
-        tail = self.slot_sets[i]
-        merged.concat(tail)
-        meter.list_links += 2
-        self._clear_slot(i - 1)
+        merged.concat(self.slot_sets[i], meter)
+        meter.list_links += 1
         self._clear_slot(i)
-        self._set_slot(i + 1, merged, pivot)
+        self._set_slot(i + 1, merged, self._clear_slot(i - 1))
         if led is not None:
             led.record('merge_down', a=i, nominal=1,
                        before=phi0, after=self.potential())

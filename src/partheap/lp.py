@@ -13,17 +13,14 @@ The scaling parameter ``beta`` only affects the reported potential
 control flow.
 '''
 
-import random
-
 # core.pivot_search is looked up per call, so a wrapper installed on it
 # (perfbench --trace 1) sees LP's searches too
 from . import core
-from .core import (CostMeter, DeadHandleError, EmptyHeapError,
-                   KeyOrderError, LinkedSet, Node)
+from .core import EmptyHeapError, KeyOrderError, LinkedSet, PartitionHeap
 from .selection import partition_nodes, split_by_rank
 
 
-class LPHeap:
+class LPHeap(PartitionHeap):
     '''Addressable min-heap with O(lg lg n) insert/decrease_key and
     O(lg n) delete_min, all amortized.
 
@@ -37,24 +34,13 @@ class LPHeap:
     kind = 'lp'
 
     def __init__(self, beta=4, selection='det', seed=0):
-        if selection not in ('det', 'rand'):
-            raise ValueError('selection must be "det" or "rand"')
+        super().__init__(selection, seed)
         self.sets = []
         self.pivots = []  # pivots[j] bounds sets[j + 1] below
-        self.n = 0
         self.beta = beta
         self.cached_min = None
-        self.meter = CostMeter()
-        self.ledger = None
-        self._seq = 0
-        self._randomized = (selection == 'rand')
-        self._rng = random.Random(seed)
         self._fresh_partition = True
-        self.last_search_comparisons = 0
         self.last_delete_min_touches = 0
-
-    def __len__(self):
-        return self.n
 
     @property
     def num_sets(self):
@@ -68,9 +54,8 @@ class LPHeap:
         meter = self.meter
         led = self.ledger
         phi0 = self.potential_phi() if led is not None else 0
-        key = (user_key, self._seq)
-        self._seq += 1
-        node = Node(key)
+        node = self._node(user_key)
+        key = node.key
         if not self.sets:
             self.sets.append(LinkedSet())
         c0 = meter.comparisons
@@ -138,11 +123,7 @@ class LPHeap:
 
     def decrease_key(self, node, user_key):
         '''Lower the key of a live handle (moves it toward the front).'''
-        if not node.alive:
-            raise DeadHandleError('decrease_key on deleted element')
-        if not user_key <= node.key[0]:
-            raise KeyOrderError('decrease_key from %r to larger %r'
-                                % (node.key[0], user_key))
+        key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
         phi0 = self.potential_phi() if led is not None else 0
@@ -152,15 +133,15 @@ class LPHeap:
         src = self.sets[pos - 1]
         src.remove(node)
         meter.list_links += 1
-        node.key = (user_key, node.key[1])
-        dst_pos = core.pivot_search(self.pivots, node.key, meter)
+        node.key = key
+        dst_pos = core.pivot_search(self.pivots, key, meter)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c1)
         assert dst_pos <= pos
         self.sets[dst_pos - 1].append(node)
         meter.node_moves += 1
         meter.list_links += 1
         meter.comparisons += 1
-        if node.key < self.cached_min.key:
+        if key < self.cached_min.key:
             self.cached_min = node
         self._fresh_partition = False
         if led is not None:
@@ -169,8 +150,7 @@ class LPHeap:
 
     def delete(self, node):
         '''Remove an arbitrary live element by handle.'''
-        if not node.alive:
-            raise DeadHandleError('delete on deleted element')
+        self._check(node, 'delete')
         meter = self.meter
         pos = core.pivot_search(self.pivots, node.key, meter)
         self.sets[pos - 1].remove(node)
@@ -187,8 +167,7 @@ class LPHeap:
     def increase_key(self, node, user_key):
         '''Raise the key of a live handle (delete + re-insert, same
         tie-break counter).'''
-        if not node.alive:
-            raise DeadHandleError('increase_key on deleted element')
+        self._check(node, 'increase_key')
         if not user_key >= node.key[0]:
             raise KeyOrderError('increase_key from %r to smaller %r'
                                 % (node.key[0], user_key))
@@ -214,9 +193,7 @@ class LPHeap:
         heap = cls(beta=beta, selection=selection, seed=seed)
         s = LinkedSet()
         for user_key in items:
-            node = Node((user_key, heap._seq))
-            heap._seq += 1
-            s.append(node)
+            s.append(heap._node(user_key))
         if s.size:
             heap.sets = [s]
             heap.n = s.size
@@ -246,7 +223,7 @@ class LPHeap:
         elements the partition pass touched.'''
         s = self.sets[0]
         size = s.size
-        if self._randomized:
+        if self._rng is not None:
             low, high, pivot = self._random_split(s)
         else:
             r = (size + 1) // 2  # larger median: low side never smaller
@@ -285,8 +262,7 @@ class LPHeap:
                 continue
             tail = new_sets[-1]
             if tail.size + s.size < prefix:
-                tail.concat(s)
-                meter.list_links += 1
+                tail.concat(s, meter)
             else:
                 prefix += tail.size
                 new_pivots.append(pivots[i - 1])

@@ -8,7 +8,6 @@ Replays are deterministic given (trace, impl, seed).
 '''
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 
 from .core import HeapError
 from .exp import ExpHeap
@@ -16,7 +15,6 @@ from .fhtng import FHTNGHeap
 from .lp import LPHeap
 from .oracle import OracleHeap
 from .potential import attach_ledger, lemma_check
-from .traces import Trace
 from .validation import audit
 
 IMPLS = {
@@ -202,22 +200,12 @@ def differential_run(trace, heap, audit_every=0):
     return _replay(trace, heap, OracleHeap(), audit_every)
 
 
-def _compare_worker(args):
-    ops, impl, select, seed = args
-    res = run_trace(Trace(ops), impl=impl, select=select, seed=seed,
-                    collect_outputs=True)
-    return impl, res.outputs
-
-
 def compare_traces(trace, impls=('lp', 'fhtng', 'exp'), select='det',
-                   seed=0, workers=1):
+                   seed=0):
     '''Replay one trace on several implementations; return
     (all_equal, {impl: outputs}).'''
-    jobs = [(trace.ops, impl, select, seed) for impl in impls]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_compare_worker, jobs))
-    else:
-        results = dict(map(_compare_worker, jobs))
+    results = {impl: run_trace(trace, impl=impl, select=select, seed=seed,
+                               collect_outputs=True).outputs
+               for impl in impls}
     outputs = list(results.values())
     return all(out == outputs[0] for out in outputs), results

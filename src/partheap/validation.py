@@ -145,25 +145,21 @@ def _audit_fhtng(heap):
     # internal index coherence
     occupied = [i for i in range(len(heap.slot_sets))
                 if heap.slot_sets[i] is not None]
-    if occupied != ne:
-        report.fail('index', 'nonempty index %r but slots %r'
-                    % (ne, occupied))
+    if occupied != ne or len(heap._ne_pivs) != len(ne):
+        report.fail('index', 'nonempty index %r with %d pivots but slots %r'
+                    % (ne, len(heap._ne_pivs), occupied))
         return report
-    for pos, i in enumerate(ne):
-        if heap._ne_pivs[pos] != heap.slot_pivots[i]:
-            report.fail('index', 'pivot cache stale at slot %d' % i)
     total = 0
     spans = []
     prev = None
     run = 0
-    for i in ne:
+    for i, pivot in zip(ne, heap._ne_pivs):
         s = heap.slot_sets[i]
         count, lo, hi = _scan(report, 'slot %d' % i, s)
         total += count
         if count == 0:
             report.fail('empty-slot', 'slot %d present but empty' % i)
             continue
-        pivot = heap.slot_pivots[i]
         if lo < pivot:
             report.fail('sandwich', 'min slot %d = %r below pivot %r'
                         % (i, lo, pivot))

@@ -6,7 +6,7 @@ each set receives a contiguous block of integer keys, and pivots sit
 at each block's first key.
 '''
 
-from partheap import ExpHeap, FHTNGHeap, LinkedSet, LPHeap, Node
+from partheap import ExpHeap, FHTNGHeap, LinkedSet, LPHeap
 
 BLOCK = 1000  # key block per set; sets stay far apart
 
@@ -14,9 +14,7 @@ BLOCK = 1000  # key block per set; sets stay far apart
 def _fill(linked_set, heap, base, count):
     keys = []
     for k in range(count):
-        node = Node((base + k, heap._seq))
-        heap._seq += 1
-        linked_set.append(node)
+        linked_set.append(heap._node(base + k))
         keys.append(base + k)
     return keys
 

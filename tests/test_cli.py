@@ -14,6 +14,17 @@ from partheap.cli import main
 from partheap.report import read_costs, summarize
 
 
+def run_optimized(script, timeout):
+    '''Run ``script`` under ``python -O``, which strips asserts, with
+    this checkout's partheap importable.'''
+    src = os.path.dirname(os.path.dirname(partheap.__file__))
+    path = os.environ.get('PYTHONPATH')
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ''))
+    return subprocess.run([sys.executable, '-O', '-c', script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 class TestRunner:
 
     def test_run_with_oracle_and_audits(self):
@@ -51,11 +62,6 @@ class TestRunner:
         assert ok
         assert len({tuple(v) for v in results.values()}) == 1
 
-    def test_compare_with_workers(self):
-        trace = gen('random', 400, seed=3)
-        ok, _ = compare_traces(trace, ('lp', 'exp'), workers=2)
-        assert ok
-
     def test_phi_run_checks_budgets(self):
         trace = gen('random', 400, seed=4)
         res = run_trace(trace, impl='lp', phi=True)
@@ -76,12 +82,33 @@ for pattern in PATTERNS:
         if res.fail_op is not None or res.lemma.sharp_violations:
             print(pattern, impl, res.fail_op, res.reason, res.lemma)
 '''
-        src = os.path.dirname(os.path.dirname(partheap.__file__))
-        path = os.environ.get('PYTHONPATH')
-        env = dict(os.environ,
-                   PYTHONPATH=src + (os.pathsep + path if path else ''))
-        proc = subprocess.run([sys.executable, '-O', '-c', script], env=env,
-                              capture_output=True, text=True, timeout=600)
+        proc = run_optimized(script, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ''
+
+    def test_fhtng_foreign_handle_rejected_without_asserts(self):
+        # FHTNG's pivot search alone cannot tell a foreign handle apart
+        script = '''
+from partheap import FHTNGHeap, ForeignHandleError, audit
+if __debug__:
+    raise SystemExit('asserts still enabled')
+a = FHTNGHeap()
+b = FHTNGHeap()
+handles = [a.insert(k) for k in (5, 3, 8, 1, 9)]
+for k in (6, 2, 7):
+    b.insert(k)
+try:
+    b.decrease_key(handles[2], 0)
+    print('foreign handle accepted')
+except ForeignHandleError:
+    pass
+for heap, keys in ((a, [1, 3, 5, 8, 9]), (b, [2, 6, 7])):
+    report = audit(heap)
+    out = [heap.delete_min() for _ in range(heap.n)]
+    if not report.passed or out != keys:
+        print(report, out)
+'''
+        proc = run_optimized(script, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ''
 

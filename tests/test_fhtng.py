@@ -40,13 +40,13 @@ class TestInsert:
         h.insert(5)
         assert h._ne == [3]
         assert h.slot_sets[3].size == 1
-        assert h.slot_pivots[3][0] == 5
+        assert h._ne_pivs[h._ne.index(3)][0] == 5
 
     def test_below_all_pivots_lands_in_first_slot(self):
         h = make_fhtng_state({4: 5, 5: 8})
         h.insert(7)  # below the 4000-block pivots
         assert h.slot_sets[3].size == 1
-        assert h.slot_pivots[3][0] == 7
+        assert h._ne_pivs[h._ne.index(3)][0] == 7
         assert audit(h).passed
 
     def test_overflow_down_fires_at_full(self):
@@ -63,7 +63,7 @@ class TestInsert:
         h = FHTNGHeap()
         h.insert(10)
         h.insert(3)
-        assert h.slot_pivots[3][0] == 3
+        assert h._ne_pivs[h._ne.index(3)][0] == 3
         assert audit(h).passed
 
 
@@ -85,8 +85,7 @@ class TestDeleteMin:
         node.key = (2, node.key[1])
         other = list(h.slot_sets[4].iter_nodes())[1]
         other.key = (9, other.key[1])
-        h.slot_pivots[4] = (2, -1)
-        h._ne_pivs[0] = (2, -1)
+        h._ne_pivs[h._ne.index(4)] = (2, -1)
         assert h.delete_min() == 2
         assert multiset(h) == [9]
         assert h.n == 1
@@ -165,11 +164,11 @@ class TestRestoringOps:
 
     def test_overflow_down_meter_and_pivot(self):
         h = make_fhtng_state({5: 21})
-        pivot = h.slot_pivots[5]
+        pivot = h._ne_pivs[h._ne.index(5)]
         meter0 = h.meter.snapshot()
         h._restore()
         assert h.slot_sets[6].size == 21
-        assert h.slot_pivots[6] == pivot
+        assert h._ne_pivs[h._ne.index(6)] == pivot
         delta = [b - a for a, b in zip(meter0, h.meter.snapshot())]
         assert delta[3] == 0  # zero selection touches
         assert delta[2] <= 2  # constant link writes
@@ -182,8 +181,8 @@ class TestRestoringOps:
         assert h.slot_sets[6].size == 9
         assert h.slot_sets[7].size == 21
         assert multiset(h) == before
-        assert max(keys_of(h.slot_sets[6])) < h.slot_pivots[7][0]
-        assert min(keys_of(h.slot_sets[7])) == h.slot_pivots[7][0]
+        assert max(keys_of(h.slot_sets[6])) < h._ne_pivs[h._ne.index(7)][0]
+        assert min(keys_of(h.slot_sets[7])) == h._ne_pivs[h._ne.index(7)][0]
         assert audit(h).passed
 
     def test_underflow_up_moves_whole_set(self):
@@ -208,12 +207,12 @@ class TestRestoringOps:
 
     def test_merge_down_concatenates_bottom_pair(self):
         h = make_fhtng_state({4: 5, 5: 8, 6: 13})
-        pivot5 = h.slot_pivots[5]
+        pivot5 = h._ne_pivs[h._ne.index(5)]
         meter0 = h.meter.snapshot()
         h._restore()
         assert h.slot_sets[5] is None and h.slot_sets[6] is None
         assert h.slot_sets[7].size == 21
-        assert h.slot_pivots[7] == pivot5
+        assert h._ne_pivs[h._ne.index(7)] == pivot5
         assert h.slot_sets[7].size <= FIB[10]
         delta = [b - a for a, b in zip(meter0, h.meter.snapshot())]
         assert delta[3] == 0

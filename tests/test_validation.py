@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_exp_state, make_fhtng_state, make_lp_state
+from conftest import drain, make_exp_state, make_fhtng_state, make_lp_state
 from partheap import (DeadHandleError, EmptyHeapError, ExpHeap,
-                      FHTNGHeap, KeyOrderError, LPHeap, OracleHeap,
-                      PotentialLedger, SimpleLazyHeap, Trace,
+                      FHTNGHeap, ForeignHandleError, KeyOrderError, LPHeap,
+                      OracleHeap, PotentialLedger, SimpleLazyHeap, Trace,
                       attach_ledger, audit, differential_run, gen,
                       lemma_check)
 
@@ -89,6 +89,44 @@ class TestUnorderableKeys:
             h.increase_key(handles[0], float('nan'))
         assert audit(h).passed
         assert [h.delete_min() for _ in range(5)] == [1, 3, 5, 8, 9]
+
+
+    @pytest.mark.parametrize('cls', [LPHeap, FHTNGHeap, ExpHeap])
+    def test_insert_nan_rejected(self, cls):
+        h = cls()
+        for k in (5, 3, 8):
+            h.insert(k)
+        meter = h.meter.snapshot()
+        with pytest.raises(KeyOrderError):
+            h.insert(float('nan'))
+        assert len(h) == 3 and h.meter.snapshot() == meter
+        for k in (1, 9):
+            h.insert(k)
+        assert audit(h).passed
+        assert drain(h) == [1, 3, 5, 8, 9]
+
+    def test_lp_build_rejects_nan(self):
+        with pytest.raises(KeyOrderError):
+            LPHeap.build([5, float('nan'), 1])
+
+
+class TestForeignHandles:
+
+    @pytest.mark.parametrize('cls, op, args', [
+        (LPHeap, 'decrease_key', (0,)), (FHTNGHeap, 'decrease_key', (0,)),
+        (ExpHeap, 'decrease_key', (0,)), (LPHeap, 'delete', ()),
+        (LPHeap, 'increase_key', (20,))])
+    def test_foreign_handle_rejected_before_any_change(self, cls, op, args):
+        a = cls()
+        b = cls()
+        handles = [a.insert(k) for k in (5, 3, 8, 1, 9)]
+        for k in (6, 2, 7):
+            b.insert(k)
+        with pytest.raises(ForeignHandleError):
+            getattr(b, op)(handles[2], *args)
+        assert audit(a).passed and audit(b).passed
+        assert drain(a) == [1, 3, 5, 8, 9]
+        assert drain(b) == [2, 6, 7]
 
 
 class TestDifferentialRun:
