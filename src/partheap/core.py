@@ -7,9 +7,10 @@ keys.  This module provides the pieces they share:
   - keys: ``(user_key, seq)`` tuples, where ``seq`` is a per-heap
     insertion counter.  The pair gives a strict total order, so two
     live elements never compare equal even when their user keys do.
-  - Node / LinkedSet: the intrusive list.  A node is also the stable
-    handle returned by ``insert``; it survives every restructuring and
-    is what ``decrease_key`` and ``delete`` take.
+  - Node / LinkedSet: the intrusive list, ``first``/``last``/``size``
+    with no sentinel nodes.  A node is also the stable handle returned
+    by ``insert``; it survives every restructuring and is what
+    ``decrease_key`` and ``delete`` take.
   - PartitionHeap: the API boundary LPHeap, FHTNGHeap and ExpHeap
     inherit.  It owns their common state and the checks every public
     operation makes before it mutates anything: a key that is not
@@ -54,7 +55,7 @@ class Node:
 
     ``key`` is a ``(user_key, seq)`` tuple.  ``alive`` turns False when
     the element leaves the heap for good; restructuring never touches it.
-    ``owner`` is the heap that made the node (None for list sentinels).
+    ``owner`` is the heap that made the node (None for a bare ``Node(key)``).
     '''
 
     __slots__ = ('key', 'prev', 'next', 'alive', 'owner')
@@ -76,38 +77,49 @@ Handle = Node
 
 
 class LinkedSet:
-    '''Intrusive doubly-linked list with sentinels and an explicit size.
+    '''Intrusive doubly-linked list with end pointers and an explicit size.
+
+    ``first`` and ``last`` are the end nodes, both None when the set is
+    empty; ``first.prev`` and ``last.next`` are None.  There are no
+    sentinel nodes, so nothing in an empty set points back at it and a
+    discarded set is freed by reference counting alone.
 
     append / remove / concat touch O(1) nodes each.  Nodes keep their
     identity across every operation, which is what makes handles stable.
     '''
 
-    __slots__ = ('head', 'tail', 'size')
+    __slots__ = ('first', 'last', 'size')
 
     def __init__(self):
-        head = Node(None)
-        tail = Node(None)
-        head.next = tail
-        tail.prev = head
-        self.head = head
-        self.tail = tail
+        self.first = None
+        self.last = None
         self.size = 0
 
     def __len__(self):
         return self.size
 
     def append(self, node):
-        tail = self.tail
-        last = tail.prev
-        last.next = node
+        last = self.last
         node.prev = last
-        node.next = tail
-        tail.prev = node
+        node.next = None
+        if last is None:
+            self.first = node
+        else:
+            last.next = node
+        self.last = node
         self.size += 1
 
     def remove(self, node):
-        node.prev.next = node.next
-        node.next.prev = node.prev
+        prev = node.prev
+        nxt = node.next
+        if prev is None:
+            self.first = nxt
+        else:
+            prev.next = nxt
+        if nxt is None:
+            self.last = prev
+        else:
+            nxt.prev = prev
         node.prev = None
         node.next = None
         self.size -= 1
@@ -119,24 +131,23 @@ class LinkedSet:
         '''
         if meter is not None:
             meter.list_links += 1
-        if other.size == 0:
+        first = other.first
+        if first is None:
             return
-        first = other.head.next
-        last = other.tail.prev
-        at = self.tail.prev
-        at.next = first
-        first.prev = at
-        last.next = self.tail
-        self.tail.prev = last
+        last = self.last
+        if last is None:
+            self.first = first
+        else:
+            last.next = first
+            first.prev = last
+        self.last = other.last
         self.size += other.size
-        other.head.next = other.tail
-        other.tail.prev = other.head
+        other.first = other.last = None
         other.size = 0
 
     def iter_nodes(self):
-        at = self.head.next
-        tail = self.tail
-        while at is not tail:
+        at = self.first
+        while at is not None:
             nxt = at.next
             yield at
             at = nxt
@@ -144,19 +155,17 @@ class LinkedSet:
     def keys(self):
         '''All keys in list order (one pass).'''
         out = []
-        at = self.head.next
-        tail = self.tail
-        while at is not tail:
+        at = self.first
+        while at is not None:
             out.append(at.key)
             at = at.next
         return out
 
     def min_node(self, meter=None):
         '''Scan for the node with the smallest key (size - 1 comparisons).'''
-        best = self.head.next
+        best = self.first
         at = best.next
-        tail = self.tail
-        while at is not tail:
+        while at is not None:
             if at.key < best.key:
                 best = at
             at = at.next

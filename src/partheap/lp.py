@@ -56,6 +56,11 @@ class LPHeap(PartitionHeap):
         phi0 = self.potential_phi() if led is not None else 0
         node = self._node(user_key)
         key = node.key
+        # compare with the cached minimum before any change, so a key
+        # that does not compare with the stored ones leaves the heap as
+        # it was
+        cached = self.cached_min
+        new_min = cached is None or key < cached.key
         if not self.sets:
             self.sets.append(LinkedSet())
         c0 = meter.comparisons
@@ -65,12 +70,10 @@ class LPHeap(PartitionHeap):
         meter.node_moves += 1
         meter.list_links += 1
         self.n += 1
-        if self.cached_min is None:
-            self.cached_min = node
-        else:
+        if cached is not None:
             meter.comparisons += 1
-            if key < self.cached_min.key:
-                self.cached_min = node
+        if new_min:
+            self.cached_min = node
         self._fresh_partition = False
         if led is not None:
             led.record('insert', before=(phi0,), after=(self.potential_phi(),))

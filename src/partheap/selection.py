@@ -8,7 +8,11 @@ same rank contract:
 
 ``mom_select`` and ``quickselect`` name the two rules.  ``select_rank``
 reads a set's r-th smallest key, ``partition_nodes`` distributes a
-set's nodes around a pivot, and ``split_by_rank`` does both.
+set's nodes around a pivot, and ``split_by_rank`` does both in one
+pass over the set: it collects the nodes and their keys, selects, and
+then chains each node onto the low or high side by writing its links
+directly, with no per-node ``append``.  The partition pass is shared
+with ``partition_nodes``.
 
 All of them report their work to a CostMeter: ``selection_elements``
 grows by the size of every subarray processed, ``comparisons`` by a
@@ -40,11 +44,10 @@ def select(keys, k, meter=None, rng=None):
             return arr[k]
         if rng is None:
             medians = []
-            i = 0
-            while i < n:
-                group = sorted(arr[i:i + 5])
+            for i in range(0, n, 5):
+                group = arr[i:i + 5]
+                group.sort()
                 medians.append(group[len(group) // 2])
-                i += 5
             if meter is not None:
                 meter.comparisons += 7 * ((n + 4) // 5)
             pivot = select(medians, len(medians) // 2, meter)
@@ -100,15 +103,29 @@ def split_by_rank(linked_set, r, meter=None, rng=None):
 
     Returns ``(low, high, pivot)`` where ``low`` holds the r smallest
     elements, ``high`` the rest and ``pivot = min(high)`` is the
-    (r+1)-th smallest key.  Node identities are preserved, so handles
+    (r+1)-th smallest key.  Both keep the input's list order, and the
+    input set is left empty.  Node identities are preserved, so handles
     into the original set stay valid.  Keys must be distinct (heap keys
     always are).
+
+    One pass collects the nodes and their keys; the meter is charged
+    exactly as ``select_rank(linked_set, r + 1)`` followed by
+    ``partition_nodes`` would charge it.
     '''
     size = linked_set.size
     if size < 2 or not 1 <= r < size:
         raise ValueError('rank %d out of range 1..%d' % (r, size - 1))
-    pivot = select_rank(linked_set, r + 1, meter, rng)
-    low, high = partition_nodes(linked_set, pivot, meter)
+    nodes = []
+    keys = []
+    at = linked_set.first
+    while at is not None:
+        nodes.append(at)
+        keys.append(at.key)
+        at = at.next
+    if meter is not None:
+        meter.selection_elements += size
+    pivot = select(keys, r, meter, rng)
+    low, high = _relink(linked_set, nodes, pivot, meter)
     assert low.size == r and high.size == size - r
     return low, high, pivot
 
@@ -117,18 +134,42 @@ def partition_nodes(linked_set, pivot, meter):
     '''Distribute all nodes of ``linked_set`` into two fresh sets by
     comparing against ``pivot`` (strictly-below goes low), keeping
     their list order.  Consumes the input set.'''
-    nodes = list(linked_set.iter_nodes())
-    size = len(nodes)
-    linked_set.head.next = linked_set.tail
-    linked_set.tail.prev = linked_set.head
-    linked_set.size = 0
-    low = LinkedSet()
-    high = LinkedSet()
+    return _relink(linked_set, list(linked_set.iter_nodes()), pivot, meter)
+
+
+def _relink(linked_set, nodes, pivot, meter):
+    '''The partition pass: chain ``nodes`` (all of ``linked_set``, in
+    list order) into a low and a high set by writing their links
+    directly, one key comparison per node, and empty ``linked_set``.'''
+    lo_first = lo_last = hi_first = hi_last = None
+    lo_size = 0
     for node in nodes:
         if node.key < pivot:
-            low.append(node)
+            if lo_last is None:
+                lo_first = node
+            else:
+                lo_last.next = node
+            node.prev = lo_last
+            lo_last = node
+            lo_size += 1
         else:
-            high.append(node)
+            if hi_last is None:
+                hi_first = node
+            else:
+                hi_last.next = node
+            node.prev = hi_last
+            hi_last = node
+    if lo_last is not None:
+        lo_last.next = None
+    if hi_last is not None:
+        hi_last.next = None
+    size = len(nodes)
+    low = LinkedSet()
+    low.first, low.last, low.size = lo_first, lo_last, lo_size
+    high = LinkedSet()
+    high.first, high.last, high.size = hi_first, hi_last, size - lo_size
+    linked_set.first = linked_set.last = None
+    linked_set.size = 0
     if meter is not None:
         meter.comparisons += size
         meter.node_moves += size

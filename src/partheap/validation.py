@@ -36,21 +36,28 @@ class AuditReport:
 
 
 def _scan(report, label, linked_set):
-    '''Traverse one set: size agreement, liveness, min/max keys.'''
+    '''Traverse one set from ``first``: size agreement, back links,
+    the ``last`` end, liveness, min/max keys.'''
     count = 0
     lo = hi = None
-    node = linked_set.head.next
-    tail = linked_set.tail
-    while node is not tail:
+    before = None
+    node = linked_set.first
+    while node is not None:
         count += 1
         key = node.key
+        if node.prev is not before:
+            report.fail('links', '%s: back link of %r is not the node '
+                        'before it' % (label, key))
         if not node.alive:
             report.fail('alive', '%s holds dead node %r' % (label, key))
         if lo is None or key < lo:
             lo = key
         if hi is None or hi < key:
             hi = key
+        before = node
         node = node.next
+    if linked_set.last is not before:
+        report.fail('links', '%s: last is not the final node' % label)
     if count != linked_set.size:
         report.fail('size', '%s stores size %d but holds %d nodes'
                     % (label, linked_set.size, count))

@@ -1,8 +1,10 @@
 '''Shared primitives: linked sets, pivot search, cost meter.'''
 
+import gc
+
 from hypothesis import given, strategies as st
 
-from partheap import CostMeter, LinkedSet, Node, pivot_search
+from partheap import CostMeter, LinkedSet, Node, pivot_search, split_by_rank
 
 
 def fill(keys):
@@ -60,6 +62,76 @@ class TestLinkedSet:
         meter = CostMeter()
         assert s.min_node(meter).key == 1
         assert meter.comparisons == 4
+
+    @given(st.lists(st.tuples(st.sampled_from(('append', 'remove', 'concat')),
+                              st.integers(0, 2), st.integers(0, 2),
+                              st.integers(0, 99)), max_size=60))
+    def test_matches_list_model(self, steps):
+        sets = [LinkedSet() for _ in range(3)]
+        models = [[] for _ in range(3)]
+        for op, i, j, pick in steps:
+            if op == 'append':
+                node = Node(pick)
+                sets[i].append(node)
+                models[i].append(node)
+            elif op == 'remove' and models[i]:
+                node = models[i].pop(pick % len(models[i]))
+                sets[i].remove(node)
+                assert node.prev is None and node.next is None
+            elif op == 'concat' and i != j:
+                sets[i].concat(sets[j])
+                models[i] += models[j]
+                models[j] = []
+            for s, model in zip(sets, models):
+                assert walk(s.first, 'next', len(model)) == model
+                assert walk(s.last, 'prev', len(model)) == model[::-1]
+                assert s.size == len(model)
+
+
+def walk(node, link, limit):
+    '''Nodes from ``node`` along ``link``, at most ``limit + 1``.'''
+    out = []
+    while node is not None and len(out) <= limit:
+        out.append(node)
+        node = getattr(node, link)
+    return out
+
+
+class TestNoCyclicGarbage:
+    '''A set holds no reference cycle of its own, so once emptied and
+    dropped it is freed without the cyclic collector.'''
+
+    def dropped_garbage(self, build):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            keep = build()
+            found = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        return keep, found
+
+    def test_set_emptied_by_remove(self):
+        def build():
+            s, nodes = fill([4, 2])
+            for node in nodes:
+                s.remove(node)
+            return nodes
+
+        _, found = self.dropped_garbage(build)
+        assert found == 0
+
+    def test_split_input_set(self):
+        def build():
+            s, _ = fill(range(40, 0, -1))
+            low, high, _ = split_by_rank(s, 17)
+            return low, high
+
+        (low, high), found = self.dropped_garbage(build)
+        assert (low.size, high.size) == (17, 23)
+        assert found == 0
 
 
 class TestPivotSearch:

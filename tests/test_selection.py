@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partheap import CostMeter, LinkedSet, Node, select_rank, split_by_rank
+from partheap.selection import partition_nodes
 
 
 def fill(keys):
@@ -140,3 +141,40 @@ class TestSplitByRank:
         low, high, pivot = split_by_rank(fill([5, 3, 9, 7, 1]), 3, rng=rng)
         assert sorted(n.key for n in low.iter_nodes()) == [1, 3, 5]
         assert pivot == 7
+
+    @pytest.mark.parametrize('rule', ['det', 'rand'])
+    def test_split_contract(self, rule):
+        # order kept on each side, input emptied, every node kept, and
+        # the meter of select_rank followed by partition_nodes
+        for size in range(2, 301):
+            keys = list(range(size))
+            random.Random(size).shuffle(keys)
+            for r in sorted({1, (size + 1) // 2, size - 1}):
+                rng = random.Random(r) if rule == 'rand' else None
+                rng_ref = random.Random(r) if rule == 'rand' else None
+                state = rng.getstate() if rng else None
+                s = fill(keys)
+                nodes = set(s.iter_nodes())
+                meter = CostMeter()
+                low, high, pivot = split_by_rank(s, r, meter, rng)
+                assert pivot == r
+                assert [n.key for n in low.iter_nodes()] == \
+                    [k for k in keys if k < r]
+                assert [n.key for n in high.iter_nodes()] == \
+                    [k for k in keys if k >= r]
+                assert (low.size, high.size) == (r, size - r)
+                assert s.size == 0 and list(s.iter_nodes()) == []
+                assert set(low.iter_nodes()) | set(high.iter_nodes()) == nodes
+
+                ref = fill(keys)
+                expect = CostMeter()
+                partition_nodes(ref, select_rank(ref, r + 1, expect, rng_ref),
+                                expect)
+                assert meter.snapshot() == expect.snapshot()
+                if rng:
+                    assert rng.getstate() == rng_ref.getstate()
+                if size <= 25:
+                    cmp = size * (size - 1).bit_length() + size
+                    assert meter.snapshot() == (cmp, size, size, 3 * size)
+                    if rng:
+                        assert rng.getstate() == state

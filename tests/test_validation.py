@@ -90,7 +90,6 @@ class TestUnorderableKeys:
         assert audit(h).passed
         assert [h.delete_min() for _ in range(5)] == [1, 3, 5, 8, 9]
 
-
     @pytest.mark.parametrize('cls', [LPHeap, FHTNGHeap, ExpHeap])
     def test_insert_nan_rejected(self, cls):
         h = cls()
@@ -104,6 +103,19 @@ class TestUnorderableKeys:
             h.insert(k)
         assert audit(h).passed
         assert drain(h) == [1, 3, 5, 8, 9]
+
+    @pytest.mark.parametrize('cls', [LPHeap, FHTNGHeap])
+    def test_unorderable_insert_refused_before_any_change(self, cls):
+        # ExpHeap makes no comparison at this insert and accepts the key
+        h = cls()
+        for k in (5, 3):
+            h.insert(k)
+        meter = h.meter.snapshot()
+        with pytest.raises(TypeError):
+            h.insert('a')
+        assert len(h) == 2 and h.meter.snapshot() == meter
+        assert audit(h).passed
+        assert drain(h) == [3, 5]
 
     def test_lp_build_rejects_nan(self):
         with pytest.raises(KeyOrderError):
@@ -268,6 +280,23 @@ class TestAudit:
         h3 = make_exp_state([2, 4])
         h3.sets[0].size = 1
         assert not audit(h3).passed
+
+    def test_broken_back_link_detected(self):
+        h = make_lp_state([2, 4])
+        nodes = list(h.sets[1].iter_nodes())
+        nodes[2].prev = nodes[0]
+        report = audit(h)
+        assert not report.passed
+        assert report.failures[0][0] == 'links'
+        assert 'S_2' in report.failures[0][1]
+
+    def test_stale_last_detected(self):
+        h = make_fhtng_state({4: 5})
+        s = h.slot_sets[4]
+        s.last = s.last.prev
+        report = audit(h)
+        assert not report.passed
+        assert report.failures[0][0] == 'links'
 
     def test_order_violation_detected(self):
         h = make_lp_state([2, 2])
