@@ -129,11 +129,9 @@ class FHTNGHeap(PartitionHeap):
         if self.slot_sets[_FIRST_SLOT] is None:
             self._set_slot(_FIRST_SLOT, LinkedSet(), key)
         else:
-            self.meter.comparisons += 1
-            if key < self._ne_pivs[0]:
-                # slot 3 is the first set; its stored pivot is only a
-                # lower bound, kept tight so the sandwich audit is exact
-                self._ne_pivs[0] = key
+            # the search put the key below slot 3's pivot, which is only
+            # a lower bound; keep it tight so the sandwich audit is exact
+            self._ne_pivs[0] = key
         return _FIRST_SLOT
 
     # ------------------------------------------------------------------

@@ -8,16 +8,17 @@ together than the number of elements before them.  That single rule
 keeps l <= 2*lg(n) + 1, so the binary search done by insert and
 decrease_key costs O(lg lg n) comparisons.
 
-The scaling parameter ``beta`` only affects the reported potential
-(sum of beta * max(0, |S_j| - elements_before_j)); it never changes
-control flow.
+The reported potential is sum of LP_BETA * max(0, |S_j| -
+elements_before_j); the constant lives in ``potential`` next to the
+budgets it scales.
 '''
 
 # core.pivot_search is looked up per call, so a wrapper installed on it
 # (perfbench --trace 1) sees LP's searches too
 from . import core
 from .core import EmptyHeapError, KeyOrderError, LinkedSet, PartitionHeap
-from .selection import partition_nodes, split_by_rank
+from .potential import LP_BETA
+from .selection import split_by_rank
 
 
 class LPHeap(PartitionHeap):
@@ -25,19 +26,18 @@ class LPHeap(PartitionHeap):
     O(lg n) delete_min, all amortized.
 
     ``insert`` returns a stable handle accepted by ``decrease_key``,
-    ``increase_key`` and ``delete``.  ``selection`` picks how
-    delete_min partitions: 'det' uses deterministic median-of-medians
-    at the larger-median rank, 'rand' uses a single seeded random
-    partition round.
+    ``increase_key`` and ``delete``.  delete_min splits at the larger
+    median; ``selection`` picks the rule that finds it: 'det' uses
+    deterministic median-of-medians, 'rand' seeded quickselect.  Both
+    give the same split.
     '''
 
     kind = 'lp'
 
-    def __init__(self, beta=4, selection='det', seed=0):
+    def __init__(self, selection='det', seed=0):
         super().__init__(selection, seed)
         self.sets = []
         self.pivots = []  # pivots[j] bounds sets[j + 1] below
-        self.beta = beta
         self.cached_min = None
         self._fresh_partition = True
         self.last_delete_min_touches = 0
@@ -108,11 +108,9 @@ class LPHeap(PartitionHeap):
         if emptied and self.sets and self.sets[0].size >= 2:
             # S_1 vanished and another set moved to the front.  Partition
             # it as well: the potential it releases pays for the minimum
-            # rescan below, which would otherwise be uncovered.  A random
-            # split can leave its high side small enough to trip the
-            # concatenation rule, so sweep once more.
+            # rescan below, which would otherwise be uncovered.  No second
+            # sweep: see _forget_pivots.
             touches += self._split_first()
-            self._forget_pivots()
         self.last_delete_min_touches = touches
         if self.n == 0:
             self.cached_min = None
@@ -191,9 +189,9 @@ class LPHeap(PartitionHeap):
             self.cached_min = self.sets[0].min_node(meter)
 
     @classmethod
-    def build(cls, items, beta=4, selection='det', seed=0):
+    def build(cls, items, selection='det', seed=0):
         '''Heap over ``items`` in one shot: everything lands in S_1.'''
-        heap = cls(beta=beta, selection=selection, seed=seed)
+        heap = cls(selection=selection, seed=seed)
         s = LinkedSet()
         for user_key in items:
             s.append(heap._node(user_key))
@@ -206,51 +204,46 @@ class LPHeap(PartitionHeap):
         return heap
 
     def potential_phi(self):
-        '''Sum of beta * max(0, |S_j| - elements_before_j); pure.'''
-        beta = self.beta
+        '''Sum of LP_BETA * max(0, |S_j| - elements_before_j); pure.'''
         total = 0
         prefix = 0
         for s in self.sets:
             over = s.size - prefix
             if over > 0:
-                total += beta * over
+                total += over
             prefix += s.size
-        return total
+        return LP_BETA * total
 
     # ------------------------------------------------------------------
     # restructuring
 
     def _split_first(self):
-        '''Partition the first set; its r smallest stay in front and
-        the boundary key becomes a new pivot.  Returns the number of
-        elements the partition pass touched.'''
+        '''Split the first set at the larger median: its ceil(s/2)
+        smallest stay in front and the boundary key becomes a new pivot.
+        Returns the number of elements the split touched.'''
         s = self.sets[0]
         size = s.size
-        if self._rng is not None:
-            low, high, pivot = self._random_split(s)
-        else:
-            r = (size + 1) // 2  # larger median: low side never smaller
-            low, high, pivot = split_by_rank(s, r, self.meter)
+        low, high, pivot = split_by_rank(s, (size + 1) // 2, self.meter,
+                                         self._rng)
         self.sets[0:1] = [low, high]
         self.pivots.insert(0, pivot)
         return size
-
-    def _random_split(self, s):
-        '''Single partition round around a uniformly random non-minimum
-        element, so both sides are nonempty.'''
-        meter = self.meter
-        least = s.min_node(meter)
-        others = [node for node in s.iter_nodes() if node is not least]
-        pivot = others[self._rng.randrange(len(others))].key
-        meter.selection_elements += s.size  # the minimum scan
-        low, high = partition_nodes(s, pivot, meter)
-        return low, high, pivot
 
     def _forget_pivots(self):
         '''Drop empty sets, then sweep once left to right concatenating
         any adjacent pair that is smaller than its prefix.  The merged
         set keeps absorbing successors until the rule no longer fires.
-        O(l) plus O(1) per concatenation.'''
+        O(l) plus O(1) per concatenation.
+
+        One sweep leaves no adjacent pair that satisfies the rule, and
+        a larger-median split of the front set afterwards cannot make
+        one fire, so delete_min never sweeps twice.  The split turns
+        S_1 (s elements) into low (ceil(s/2)) and high (floor(s/2)).
+        The pair (low, high) has prefix 0.  The pair (high, S_2) has
+        prefix |low| and high + |S_2| >= low, since S_2 is nonempty
+        and low exceeds high by at most one.  Every later pair keeps
+        its sizes and its prefix, which still counts all s elements.
+        '''
         sets = self.sets
         pivots = self.pivots
         meter = self.meter

@@ -28,6 +28,10 @@ the exact telescoped values the implementation does satisfy:
     unit, so the provable budget is nominal + dphi <= 1 there.
 '''
 
+# LP's potential is LP_BETA * sum of max(0, |S_j| - elements_before_j);
+# 4 is what makes the larger-median split pay for delete_min's scans
+LP_BETA = 4
+
 FHTNG_THRESHOLDS = {
     'overflow_down': 3,
     'overflow_thru': 5,
@@ -61,9 +65,8 @@ class PotRow:
 class PotentialLedger:
     '''Append-only per-operation potential records for one heap run.'''
 
-    def __init__(self, kind, beta=4):
+    def __init__(self, kind):
         self.kind = kind
-        self.beta = beta
         self.rows = []
 
     def record(self, op, a=0, b=0, nominal=0, before=(), after=()):
@@ -76,7 +79,7 @@ class PotentialLedger:
 
 def attach_ledger(heap):
     '''Create a ledger for ``heap`` and start recording into it.'''
-    ledger = PotentialLedger(heap.kind, getattr(heap, 'beta', 4))
+    ledger = PotentialLedger(heap.kind)
     heap.ledger = ledger
     return ledger
 
@@ -119,15 +122,14 @@ def lemma_check(ledger):
 
 
 def _check_lp(ledger):
-    beta = ledger.beta
     res = LemmaCheckResult()
     for row in ledger.rows:
         d = row.dphi
         if row.op in ('insert', 'decrease_key'):
-            bound = beta
+            bound = LP_BETA
         elif row.op == 'delete_min':
             # a = |S_1| before, b = number of sets before
-            bound = beta * (row.b - (row.a - 1) // 2)
+            bound = LP_BETA * (row.b - (row.a - 1) // 2)
         else:
             res.skipped += 1
             continue

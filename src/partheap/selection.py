@@ -7,12 +7,10 @@ same rank contract:
   - seeded quickselect, expected linear, when an ``rng`` is given.
 
 ``mom_select`` and ``quickselect`` name the two rules.  ``select_rank``
-reads a set's r-th smallest key, ``partition_nodes`` distributes a
-set's nodes around a pivot, and ``split_by_rank`` does both in one
-pass over the set: it collects the nodes and their keys, selects, and
+reads a set's r-th smallest key, and ``split_by_rank`` splits a set at
+a rank in one pass: it collects the nodes and their keys, selects, and
 then chains each node onto the low or high side by writing its links
-directly, with no per-node ``append``.  The partition pass is shared
-with ``partition_nodes``.
+directly, with no per-node ``append``.
 
 All of them report their work to a CostMeter: ``selection_elements``
 grows by the size of every subarray processed, ``comparisons`` by a
@@ -109,8 +107,8 @@ def split_by_rank(linked_set, r, meter=None, rng=None):
     always are).
 
     One pass collects the nodes and their keys; the meter is charged
-    exactly as ``select_rank(linked_set, r + 1)`` followed by
-    ``partition_nodes`` would charge it.
+    what ``select_rank(linked_set, r + 1)`` charges plus ``size`` on
+    each of its four counters for the partition pass.
     '''
     size = linked_set.size
     if size < 2 or not 1 <= r < size:
@@ -125,22 +123,8 @@ def split_by_rank(linked_set, r, meter=None, rng=None):
     if meter is not None:
         meter.selection_elements += size
     pivot = select(keys, r, meter, rng)
-    low, high = _relink(linked_set, nodes, pivot, meter)
-    assert low.size == r and high.size == size - r
-    return low, high, pivot
-
-
-def partition_nodes(linked_set, pivot, meter):
-    '''Distribute all nodes of ``linked_set`` into two fresh sets by
-    comparing against ``pivot`` (strictly-below goes low), keeping
-    their list order.  Consumes the input set.'''
-    return _relink(linked_set, list(linked_set.iter_nodes()), pivot, meter)
-
-
-def _relink(linked_set, nodes, pivot, meter):
-    '''The partition pass: chain ``nodes`` (all of ``linked_set``, in
-    list order) into a low and a high set by writing their links
-    directly, one key comparison per node, and empty ``linked_set``.'''
+    # the partition pass: chain each node onto the low or high side in
+    # list order by writing its links directly, one comparison per node
     lo_first = lo_last = hi_first = hi_last = None
     lo_size = 0
     for node in nodes:
@@ -159,11 +143,8 @@ def _relink(linked_set, nodes, pivot, meter):
                 hi_last.next = node
             node.prev = hi_last
             hi_last = node
-    if lo_last is not None:
-        lo_last.next = None
-    if hi_last is not None:
-        hi_last.next = None
-    size = len(nodes)
+    assert lo_size == r
+    lo_last.next = hi_last.next = None
     low = LinkedSet()
     low.first, low.last, low.size = lo_first, lo_last, lo_size
     high = LinkedSet()
@@ -175,4 +156,4 @@ def _relink(linked_set, nodes, pivot, meter):
         meter.node_moves += size
         meter.list_links += size
         meter.selection_elements += size
-    return low, high
+    return low, high, pivot

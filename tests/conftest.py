@@ -19,10 +19,10 @@ def _fill(linked_set, heap, base, count):
     return keys
 
 
-def make_lp_state(sizes, beta=4, selection='det', seed=0):
+def make_lp_state(sizes, selection='det', seed=0):
     '''LPHeap holding len(sizes) sets of the given sizes (zeros allowed),
     with pivots at each later block's base key.'''
-    heap = LPHeap(beta=beta, selection=selection, seed=seed)
+    heap = LPHeap(selection=selection, seed=seed)
     for j, size in enumerate(sizes):
         s = LinkedSet()
         _fill(s, heap, (j + 1) * BLOCK, size)

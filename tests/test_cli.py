@@ -220,6 +220,11 @@ class TestCli:
         assert main(['run', str(trace), '--impl', 'lp', '--phi']) == 0
         assert 'potential budgets' in capsys.readouterr().out
 
+    def test_run_lp_rand_phi_passes(self, tmp_path, capsys):
+        trace = self._gen(tmp_path, pattern='sawtooth', ops=4000, seed=0)
+        assert main(['run', str(trace), '--impl', 'lp', '--select', 'rand',
+                     '--phi']) == 0
+
     def test_run_select_rand(self, tmp_path, capsys):
         trace = self._gen(tmp_path, ops=500, seed=6)
         assert main(['run', str(trace), '--impl', 'lp', '--select', 'rand',

@@ -8,7 +8,7 @@ import pytest
 from conftest import drain, keys_of, make_lp_state
 from partheap import (EmptyHeapError, KeyOrderError, LPHeap,
                       SimpleLazyHeap, attach_ledger, audit, gen,
-                      lemma_check)
+                      lemma_check, run_trace)
 
 
 class TestInsert:
@@ -263,15 +263,11 @@ class TestPotential:
         h = make_lp_state([7])
         assert h.potential_phi() == 4 * 7
 
-    def test_two_sets_beta_two(self):
-        h = make_lp_state([2, 1], beta=2)
-        assert h.potential_phi() == 4  # 2*2 + 2*max(0, 1-2)
-
     def test_empty_heap(self):
         assert LPHeap().potential_phi() == 0
 
     def test_insert_budget_per_op(self):
-        h = LPHeap(beta=4)
+        h = LPHeap()
         led = attach_ledger(h)
         rng = random.Random(3)
         for _ in range(300):
@@ -283,7 +279,7 @@ class TestPotential:
 
     def test_decrease_budget_and_delete_min_reconciliation(self):
         rng = random.Random(4)
-        h = LPHeap(beta=4)
+        h = LPHeap()
         led = attach_ledger(h)
         handles = []
         for _ in range(800):
@@ -322,7 +318,7 @@ class TestAmortizedDeleteMinCost:
     def _max_ratio(self, n, seed):
         rng = random.Random(seed)
         keys = rng.sample(range(1 << 28), n)
-        h = LPHeap(beta=4)
+        h = LPHeap()
         for k in keys:
             h.insert(k)
         worst = 0.0
@@ -397,12 +393,30 @@ class TestRandomizedSelection:
         assert h.sets[0].size >= 1
         assert h.sets[1].size >= 1
 
-    def test_deterministic_given_seed(self):
-        def shape(seed):
-            h = LPHeap(selection='rand', seed=seed)
-            for k in range(100):
-                h.insert((k * 37) % 100)
-            h.delete_min()
-            return [s.size for s in h.sets]
-        assert shape(5) == shape(5)
-        assert shape(5) != shape(6) or shape(5) == shape(6)  # both legal
+    def test_lockstep_with_det(self):
+        # both rules split at the larger median, so the set layout and
+        # the moves and links stay those of det after every op
+        for pattern in ('dijkstra-like', 'sawtooth'):
+            heaps = [LPHeap()] + [LPHeap(selection='rand', seed=s)
+                                  for s in (5, 6)]
+            handles = [[] for _ in heaps]
+            for i, op in enumerate(gen(pattern, 1500, seed=5).ops):
+                for h, hs in zip(heaps, handles):
+                    if op[0] == 'i':
+                        hs.append(h.insert(op[1]))
+                    elif op[0] == 'd':
+                        h.delete_min()
+                    else:
+                        h.decrease_key(hs[op[1]], op[2])
+                shapes = {(tuple(s.size for s in h.sets), h.meter.node_moves,
+                           h.meter.list_links) for h in heaps}
+                assert len(shapes) == 1, (pattern, i)
+
+    @pytest.mark.parametrize('pattern', ['random', 'dijkstra-like',
+                                         'sawtooth', 'adversarial-dk'])
+    def test_budgets_hold(self, pattern):
+        res = run_trace(gen(pattern, 4000, seed=0), impl='lp',
+                        select='rand', oracle=True, audit_every=1, phi=True)
+        assert res.ok, res
+        assert res.lemma.passed, res.lemma.violations[:3]
+        assert res.lemma.sharp_passed, res.lemma.sharp_violations[:3]

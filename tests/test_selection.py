@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from partheap import CostMeter, LinkedSet, Node, select_rank, split_by_rank
-from partheap.selection import partition_nodes
 
 
 def fill(keys):
@@ -145,7 +144,7 @@ class TestSplitByRank:
     @pytest.mark.parametrize('rule', ['det', 'rand'])
     def test_split_contract(self, rule):
         # order kept on each side, input emptied, every node kept, and
-        # the meter of select_rank followed by partition_nodes
+        # the meter of select_rank plus one partition pass
         for size in range(2, 301):
             keys = list(range(size))
             random.Random(size).shuffle(keys)
@@ -166,11 +165,10 @@ class TestSplitByRank:
                 assert s.size == 0 and list(s.iter_nodes()) == []
                 assert set(low.iter_nodes()) | set(high.iter_nodes()) == nodes
 
-                ref = fill(keys)
                 expect = CostMeter()
-                partition_nodes(ref, select_rank(ref, r + 1, expect, rng_ref),
-                                expect)
-                assert meter.snapshot() == expect.snapshot()
+                select_rank(fill(keys), r + 1, expect, rng_ref)
+                assert meter.snapshot() == tuple(
+                    c + size for c in expect.snapshot())
                 if rng:
                     assert rng.getstate() == rng_ref.getstate()
                 if size <= 25:

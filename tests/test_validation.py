@@ -324,7 +324,7 @@ class TestAudit:
 class TestLemmaCheck:
 
     def test_lp_insert_rows_within_beta(self):
-        h = LPHeap(beta=4)
+        h = LPHeap()
         led = attach_ledger(h)
         for k in (5, 2, 8, 1):
             h.insert(k)
