@@ -70,7 +70,6 @@ class ExpHeap(PartitionHeap):
         '''Add an element; return its handle.'''
         meter = self.meter
         led = self.ledger
-        phi0 = self.potential() if led is not None else None
         node = self._node(user_key)
         c0 = meter.comparisons
         pos = self._find_pos(node.key)
@@ -81,7 +80,7 @@ class ExpHeap(PartitionHeap):
         meter.list_links += 1
         self.n += 1
         if led is not None:
-            led.record('insert', before=phi0, after=self.potential())
+            led.record('insert', after=self.potential())
         if s.size == 3 << (pos + 1):
             self._push_from(pos + 1)
         return node
@@ -94,7 +93,6 @@ class ExpHeap(PartitionHeap):
         led = self.ledger
         if self.sets[0].size == 0:
             self._pull_into_first()
-        phi0 = self.potential() if led is not None else None
         ell = len(self.sets)
         s1 = self.sets[0]
         node = s1.min_node(meter)
@@ -112,8 +110,7 @@ class ExpHeap(PartitionHeap):
             self.sets[-1].concat(last, meter)
             assert (1 << (len(self.sets) - 1)) <= self.n
         if led is not None:
-            led.record('delete_min', a=ell,
-                       before=phi0, after=self.potential())
+            led.record('delete_min', a=ell, after=self.potential())
         return node.key[0]
 
     def decrease_key(self, node, user_key):
@@ -121,7 +118,6 @@ class ExpHeap(PartitionHeap):
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
-        phi0 = self.potential() if led is not None else None
         c0 = meter.comparisons
         pos = self._find_pos(node.key)
         c1 = meter.comparisons
@@ -136,7 +132,7 @@ class ExpHeap(PartitionHeap):
         meter.node_moves += 1
         meter.list_links += 1
         if led is not None:
-            led.record('decrease_key', before=phi0, after=self.potential())
+            led.record('decrease_key', after=self.potential())
         if s.size == 3 << (dst + 1):
             self._push_from(dst + 1)
 
@@ -147,17 +143,19 @@ class ExpHeap(PartitionHeap):
         pull = 0
         prefix = 0
         i = 1
+        half = 1  # 2^(i-1)
         for s in self.sets:
             size = s.size
-            over = size - 5 * (1 << (i - 1))
+            over = size - 5 * half
             if over > 0:
                 ins += over
             push += size >> i
             prefix += size
-            gap = (1 << (i - 1)) - prefix
+            gap = half - prefix
             if gap > 0:
                 pull += gap
             i += 1
+            half <<= 1
         return (ins, push, pull)
 
     # ------------------------------------------------------------------
@@ -168,7 +166,6 @@ class ExpHeap(PartitionHeap):
         absorbs the arriving set, or is displaced and pushed further.'''
         meter = self.meter
         led = self.ledger
-        phi0 = self.potential() if led is not None else None
         sets = self.sets
         pivots = self.pivots
         moving = sets[i - 1]
@@ -192,8 +189,7 @@ class ExpHeap(PartitionHeap):
             moving_min = moving.min_node(meter).key
             j += 1
         if led is not None:
-            led.record('push', a=i, b=j,
-                       before=phi0, after=self.potential())
+            led.record('push', a=i, b=j, after=self.potential())
 
     def _pull_into_first(self):
         led = self.ledger
@@ -203,11 +199,9 @@ class ExpHeap(PartitionHeap):
                 m += 1
             src = self.sets[m - 1].size
             depth = 0 if src == 1 else min(m - 1, (src - 1).bit_length())
-            phi0 = self.potential()
         self._pull(1)
         if led is not None:
-            led.record('pull', a=depth, b=m,
-                       before=phi0, after=self.potential())
+            led.record('pull', a=depth, b=m, after=self.potential())
 
     def _pull(self, i):
         '''Refill empty S_i from below: swap a small next set up whole,

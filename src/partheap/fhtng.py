@@ -141,7 +141,6 @@ class FHTNGHeap(PartitionHeap):
         '''Add an element; return its handle.'''
         meter = self.meter
         led = self.ledger
-        phi0 = self.potential() if led is not None else None
         node = self._node(user_key)
         c0 = meter.comparisons
         slot = self._place_slot(node.key)
@@ -152,7 +151,7 @@ class FHTNGHeap(PartitionHeap):
         meter.list_links += 1
         self.n += 1
         if led is not None:
-            led.record('insert', before=phi0, after=self.potential())
+            led.record('insert', after=self.potential())
         # size 1: _place_slot has just created slot 3
         self._restore(slot if s.size > 1 else None)
         return node
@@ -163,7 +162,6 @@ class FHTNGHeap(PartitionHeap):
             raise EmptyHeapError('delete_min on empty heap')
         meter = self.meter
         led = self.ledger
-        phi0 = self.potential() if led is not None else None
         nonempty_before = len(self._ne)
         j = self._ne[0]
         s = self.slot_sets[j]
@@ -175,8 +173,7 @@ class FHTNGHeap(PartitionHeap):
         if s.size == 0:
             self._clear_slot(j)
         if led is not None:
-            led.record('delete_min', a=nonempty_before,
-                       before=phi0, after=self.potential())
+            led.record('delete_min', a=nonempty_before, after=self.potential())
         self._restore(j if s.size else None)
         return node.key[0]
 
@@ -185,7 +182,6 @@ class FHTNGHeap(PartitionHeap):
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
-        phi0 = self.potential() if led is not None else None
         c0 = meter.comparisons
         pos = pivot_search(self._ne_pivs, node.key, meter)
         c1 = meter.comparisons
@@ -197,9 +193,10 @@ class FHTNGHeap(PartitionHeap):
         if s.size == 0:
             self._clear_slot(src)
         node.key = key
-        phi1 = self.potential() if led is not None else None
+        if led is not None:
+            phi0 = led.phi
+            phi1 = led.phi = self.potential()
         self._restore(src if s.size else None)
-        phi2 = self.potential() if led is not None else None
         c2 = meter.comparisons
         dst = self._place_slot(key)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c2)
@@ -209,11 +206,14 @@ class FHTNGHeap(PartitionHeap):
         meter.list_links += 1
         if led is not None:
             # the two direct mutations, summed componentwise so the
-            # restoring sub-operations in between cancel out
+            # restoring sub-operations in between cancel out; phi2 is
+            # what the restoration left
+            phi2 = led.phi
             phi3 = self.potential()
             before = tuple(a + c for a, c in zip(phi0, phi2))
             after = tuple(b + d for b, d in zip(phi1, phi3))
             led.record('decrease_key', before=before, after=after)
+            led.phi = phi3
         self._restore(dst if s.size > 1 else None)
 
     def potential(self):
@@ -321,16 +321,14 @@ class FHTNGHeap(PartitionHeap):
         self._grow(i + 2)
         s = self.slot_sets[i]
         if self.slot_sets[i + 1] is None:
-            phi0 = self.potential() if led is not None else None
             self._set_slot(i + 1, s, self._clear_slot(i))
             meter.list_links += 1
             if led is not None:
                 led.record('overflow_down', a=i, nominal=1,
-                           before=phi0, after=self.potential())
+                           after=self.potential())
             return
         assert self.slot_sets[i + 2] is None
         assert s.size >= fib[i + 3]
-        phi0 = self.potential() if led is not None else None
         target = self.slot_sets[i + 1]
         keep = target.size
         self._clear_slot(i)
@@ -341,7 +339,7 @@ class FHTNGHeap(PartitionHeap):
         self._set_slot(i + 2, high, boundary)
         if led is not None:
             led.record('overflow_thru', a=i, nominal=fib[max(i - 4, 0)],
-                       before=phi0, after=self.potential())
+                       after=self.potential())
 
     def _underflow(self, i):
         '''Underfull set at slot i > 3: slide into an empty slot above,
@@ -353,16 +351,14 @@ class FHTNGHeap(PartitionHeap):
         s = self.slot_sets[i]
         assert i > _FIRST_SLOT and s.size <= fib[i]
         if self.slot_sets[i - 1] is None:
-            phi0 = self.potential() if led is not None else None
             self._set_slot(i - 1, s, self._clear_slot(i))
             meter.list_links += 1
             if led is not None:
                 led.record('underflow_up', a=i, nominal=1,
-                           before=phi0, after=self.potential())
+                           after=self.potential())
             return
         if i - 2 >= _FIRST_SLOT:
             assert self.slot_sets[i - 2] is None
-            phi0 = self.potential() if led is not None else None
             upper = self.slot_sets[i - 1]
             keep = upper.size
             take = s.size
@@ -375,23 +371,20 @@ class FHTNGHeap(PartitionHeap):
             self._set_slot(i - 2, low, low.min_node(meter).key)
             if led is not None:
                 led.record('underflow_thru', a=i, nominal=fib[max(i - 6, 0)],
-                           before=phi0, after=self.potential())
+                           after=self.potential())
             return
         # i == 4 and slot 3 occupied: nowhere above to refill
-        phi0 = self.potential() if led is not None else None
         s3 = self.slot_sets[_FIRST_SLOT]
         s3.concat(s, meter)
         self._clear_slot(i)
         if led is not None:
-            led.record('bottom_merge', a=i, nominal=1,
-                       before=phi0, after=self.potential())
+            led.record('bottom_merge', a=i, nominal=1, after=self.potential())
 
     def _merge_down(self, i):
         '''Three nonempty slots end at i: concatenate slots i-1 and i
         into the empty slot i+1, keeping the lower slot's pivot.'''
         meter = self.meter
         led = self.ledger
-        phi0 = self.potential() if led is not None else None
         self._grow(i + 1)
         assert self.slot_sets[i + 1] is None
         merged = self.slot_sets[i - 1]
@@ -400,8 +393,7 @@ class FHTNGHeap(PartitionHeap):
         self._clear_slot(i)
         self._set_slot(i + 1, merged, self._clear_slot(i - 1))
         if led is not None:
-            led.record('merge_down', a=i, nominal=1,
-                       before=phi0, after=self.potential())
+            led.record('merge_down', a=i, nominal=1, after=self.potential())
 
     def _split_up(self, i):
         '''Nine empty slots sit above nonempty slot i: split its set
@@ -410,7 +402,6 @@ class FHTNGHeap(PartitionHeap):
         led = self.ledger
         fib = FIB
         assert i >= 12  # nine empties above slot i force this
-        phi0 = self.potential() if led is not None else None
         s = self.slot_sets[i]
         a, b = proportional_split_sizes(i, s.size)
         self._clear_slot(i)
@@ -419,7 +410,7 @@ class FHTNGHeap(PartitionHeap):
         self._set_slot(i - 1, high, boundary)
         if led is not None:
             led.record('split_up', a=i, nominal=fib[i - 6],
-                       before=phi0, after=self.potential())
+                       after=self.potential())
 
     def __repr__(self):
         shape = ', '.join('%d:%d' % (i, self.slot_sets[i].size)

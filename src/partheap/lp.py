@@ -53,7 +53,6 @@ class LPHeap(PartitionHeap):
         '''Add an element; return its handle.'''
         meter = self.meter
         led = self.ledger
-        phi0 = self.potential_phi() if led is not None else 0
         node = self._node(user_key)
         key = node.key
         # compare with the cached minimum before any change, so a key
@@ -76,7 +75,7 @@ class LPHeap(PartitionHeap):
             self.cached_min = node
         self._fresh_partition = False
         if led is not None:
-            led.record('insert', before=(phi0,), after=(self.potential_phi(),))
+            led.record('insert', after=(self.potential_phi(),))
         return node
 
     def find_min(self):
@@ -91,7 +90,6 @@ class LPHeap(PartitionHeap):
             raise EmptyHeapError('delete_min on empty heap')
         meter = self.meter
         led = self.ledger
-        phi0 = self.potential_phi() if led is not None else 0
         s1 = self.sets[0]
         s1_before = s1.size
         ell_before = len(self.sets)
@@ -119,7 +117,7 @@ class LPHeap(PartitionHeap):
         self._fresh_partition = True
         if led is not None:
             led.record('delete_min', a=s1_before, b=ell_before,
-                       before=(phi0,), after=(self.potential_phi(),))
+                       after=(self.potential_phi(),))
         return node.key[0]
 
     def decrease_key(self, node, user_key):
@@ -127,7 +125,6 @@ class LPHeap(PartitionHeap):
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
-        phi0 = self.potential_phi() if led is not None else 0
         c0 = meter.comparisons
         pos = core.pivot_search(self.pivots, node.key, meter)
         c1 = meter.comparisons
@@ -146,8 +143,7 @@ class LPHeap(PartitionHeap):
             self.cached_min = node
         self._fresh_partition = False
         if led is not None:
-            led.record('decrease_key', before=(phi0,),
-                       after=(self.potential_phi(),))
+            led.record('decrease_key', after=(self.potential_phi(),))
 
     def delete(self, node):
         '''Remove an arbitrary live element by handle.'''
@@ -164,6 +160,9 @@ class LPHeap(PartitionHeap):
             self.cached_min = None
         elif was_min:
             self.cached_min = self.sets[0].min_node(meter)
+        if self.ledger is not None:
+            # no budget and no row: only keep the ledger's phi current
+            self.ledger.phi = (self.potential_phi(),)
 
     def increase_key(self, node, user_key):
         '''Raise the key of a live handle (delete + re-insert, same
@@ -187,6 +186,8 @@ class LPHeap(PartitionHeap):
         meter.list_links += 1
         if was_min:
             self.cached_min = self.sets[0].min_node(meter)
+        if self.ledger is not None:
+            self.ledger.phi = (self.potential_phi(),)  # as in delete
 
     @classmethod
     def build(cls, items, selection='det', seed=0):

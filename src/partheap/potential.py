@@ -6,6 +6,16 @@ restoring sub-operation (with that sub-operation's own nominal cost
 and potential change).  ``lemma_check`` then asserts, in exact integer
 arithmetic, the per-row budget each operation is supposed to satisfy.
 
+The ledger keeps ``phi``, the potential of the heap's structure as it
+is now, as the tuple ``current_phi`` returns.  The structure is at rest
+between two rows, so a row's ``before`` is the previous row's ``after``
+and a heap records only ``after``: each potential is computed once.
+FHTNG's decrease_key row, which sums two mutations around a
+restoration, is the one row that passes ``before`` too; it sets ``phi``
+around the restoration itself.  LP's ``delete`` and ``increase_key``
+mutate without a row and reset ``phi``.  ``validation.audit`` fails if
+``phi`` is stale.
+
 Two budget tiers are checked:
 
   - the primary budgets, which are the contracted per-operation bounds
@@ -63,23 +73,39 @@ class PotRow:
 
 
 class PotentialLedger:
-    '''Append-only per-operation potential records for one heap run.'''
+    '''Append-only per-operation potential records for one heap run.
 
-    def __init__(self, kind):
+    ``phi`` is the heap's current potential, as ``current_phi`` gives
+    it.  ``record`` uses it as the row's ``before`` unless one is
+    passed, then sets it to the row's ``after``.
+    '''
+
+    def __init__(self, kind, phi=()):
         self.kind = kind
         self.rows = []
+        self.phi = phi
 
-    def record(self, op, a=0, b=0, nominal=0, before=(), after=()):
-        self.rows.append(PotRow(op, a, b, nominal,
-                                tuple(before), tuple(after)))
+    def record(self, op, a=0, b=0, nominal=0, *, after, before=None):
+        if before is None:
+            before = self.phi
+        self.rows.append(PotRow(op, a, b, nominal, before, after))
+        self.phi = after
 
     def __len__(self):
         return len(self.rows)
 
 
+def current_phi(heap):
+    '''Fresh potential of ``heap``, in the tuple form the ledger keeps.'''
+    if heap.kind == 'lp':
+        return (heap.potential_phi(),)
+    return heap.potential()
+
+
 def attach_ledger(heap):
-    '''Create a ledger for ``heap`` and start recording into it.'''
-    ledger = PotentialLedger(heap.kind)
+    '''Create a ledger for ``heap``, starting from its current
+    potential, and start recording into it.'''
+    ledger = PotentialLedger(heap.kind, current_phi(heap))
     heap.ledger = ledger
     return ledger
 

@@ -37,15 +37,6 @@ def make_heap(impl, select='det', seed=0):
     return cls(selection=select, seed=seed)
 
 
-def total_phi(heap):
-    kind = heap.kind
-    if kind == 'lp':
-        return heap.potential_phi()
-    if kind in ('fhtng', 'exp'):
-        return sum(heap.potential())
-    return 0
-
-
 class RunResult:
     __slots__ = ('ok', 'fail_op', 'reason', 'ops', 'outputs', 'ledger',
                  'lemma', 'heap')
@@ -71,15 +62,16 @@ class RunResult:
         return 'RunResult(FAIL at op %s: %s)' % (self.fail_op, self.reason)
 
 
-def _replay(trace, heap, shadow=None, audit_every=0, phi=False,
-            costs_path=None, collect_outputs=False):
+def _replay(trace, heap, shadow=None, audit_every=0, costs_path=None,
+            collect_outputs=False):
     '''The replay loop behind run_trace and differential_run.
 
     With ``shadow`` set, every operation is mirrored on it and must
     have the same outcome, and find_min must agree after every op on
     heaps that have one.  Audits run every ``audit_every`` ops and
     once at the end, except on the oracle heap, which has none.
-    Meter deltas and potentials are read only for the costs CSV.
+    Meter deltas are read only for the costs CSV; its potentials are
+    the sums of the ledger's phi, or 0 on a heap without a ledger.
     '''
     result = RunResult()
     result.heap = heap
@@ -93,6 +85,7 @@ def _replay(trace, heap, shadow=None, audit_every=0, phi=False,
     if shadow is not None:
         targets.append((shadow, mirrors))
     meter = heap.meter
+    led = getattr(heap, 'ledger', None)  # the oracle has none
     fh = writer = None
     if costs_path is not None:
         fh = open(costs_path, 'w', newline='')
@@ -102,7 +95,7 @@ def _replay(trace, heap, shadow=None, audit_every=0, phi=False,
         for idx, op in enumerate(trace.ops):
             if writer is not None:
                 before = meter.snapshot()
-                phi_before = total_phi(heap) if phi else 0
+                phi_before = sum(led.phi) if led is not None else 0
             tag = op[0]
             if tag == 'i':
                 kind = 'insert'
@@ -148,7 +141,8 @@ def _replay(trace, heap, shadow=None, audit_every=0, phi=False,
                 after = meter.snapshot()
                 writer.writerow((idx, kind)
                                 + tuple(a - b for a, b in zip(after, before))
-                                + (phi_before, total_phi(heap) if phi else 0))
+                                + (phi_before,
+                                   sum(led.phi) if led is not None else 0))
             if audit_every and (idx + 1) % audit_every == 0:
                 report = audit(heap)
                 if not report.passed:
@@ -177,7 +171,7 @@ def run_trace(trace, impl='lp', select='det', seed=0, audit_every=0,
     heap = make_heap(impl, select, seed)
     ledger = attach_ledger(heap) if phi and impl != 'oracle' else None
     shadow = OracleHeap() if oracle and impl != 'oracle' else None
-    result = _replay(trace, heap, shadow, audit_every, phi, costs_path,
+    result = _replay(trace, heap, shadow, audit_every, costs_path,
                      collect_outputs)
     result.ledger = ledger
     if result.ok and ledger is not None:

@@ -3,13 +3,15 @@
 ``audit`` walks a quiescent heap and checks everything that is cheap
 to state and expensive to get wrong: stored sizes against traversal
 counts, pivot sandwiches, global key ordering across sets, and each
-structure's own shape invariants.  Failures land in an AuditReport
-that names the first offending set or slot.  The replays that run
-these audits live in ``runner``.
+structure's own shape invariants.  With a potential ledger attached,
+it also checks that the ledger's current potential is the structure's.
+Failures land in an AuditReport that names the first offending set or
+slot.  The replays that run these audits live in ``runner``.
 '''
 
 from .exp import TOP
 from .fhtng import FIB
+from .potential import current_phi
 
 
 class AuditReport:
@@ -68,12 +70,22 @@ def audit(heap):
     '''Full structural audit; side-effect free.'''
     kind = heap.kind
     if kind == 'lp':
-        return _audit_lp(heap)
-    if kind == 'fhtng':
-        return _audit_fhtng(heap)
-    if kind == 'exp':
-        return _audit_exp(heap)
-    raise ValueError('no audit for heap kind %r' % kind)
+        report = _audit_lp(heap)
+    elif kind == 'fhtng':
+        report = _audit_fhtng(heap)
+    elif kind == 'exp':
+        report = _audit_exp(heap)
+    else:
+        raise ValueError('no audit for heap kind %r' % kind)
+    led = heap.ledger
+    if led is not None and report.passed:
+        # the ledger's phi is every next row's before: a stale one
+        # would feed wrong budgets to lemma_check
+        phi = current_phi(heap)
+        if led.phi != phi:
+            report.fail('ledger', 'ledger phi %r but the structure has %r'
+                        % (led.phi, phi))
+    return report
 
 
 def _check_order(report, spans):

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import drain, make_exp_state, make_fhtng_state, make_lp_state
 from partheap import (DeadHandleError, EmptyHeapError, ExpHeap,
                       FHTNGHeap, ForeignHandleError, KeyOrderError, LPHeap,
-                      OracleHeap, PotentialLedger, SimpleLazyHeap, Trace,
-                      attach_ledger, audit, differential_run, gen,
-                      lemma_check)
+                      OracleHeap, PATTERNS, PotentialLedger, SimpleLazyHeap,
+                      Trace, attach_ledger, audit, differential_run, gen,
+                      lemma_check, run_trace)
+from partheap.potential import current_phi
 
 
 class TestOracleHeap:
@@ -366,3 +367,87 @@ class TestLemmaCheck:
         assert row.op == 'pull' and (row.a, row.b) == (1, 2)
         assert row.dphi == bound + 1  # off by exactly one unit
         assert res.sharp_passed
+
+
+HEAPS = {'lp': LPHeap, 'fhtng': FHTNGHeap, 'exp': ExpHeap}
+
+
+class TestLedgerPhi:
+    '''The ledger keeps the heap's current potential, so every row's
+    ``before`` comes from it instead of a second computation.'''
+
+    @pytest.mark.parametrize('impl', sorted(HEAPS))
+    def test_audit_catches_stale_ledger(self, impl):
+        h = HEAPS[impl]()
+        led = attach_ledger(h)
+        for k in range(40):
+            h.insert((k * 17) % 40)
+        h.delete_min()
+        assert audit(h).passed
+        led.phi = tuple(c + 1 for c in led.phi)
+        report = audit(h)
+        assert not report.passed
+        assert report.failures[0][0] == 'ledger'
+
+    def test_lp_delete_and_increase_key_keep_phi_current(self):
+        rng = random.Random(3)
+        h = LPHeap()
+        led = attach_ledger(h)
+        live = []
+        for step in range(600):
+            phi = (h.potential_phi(),)
+            rows = len(led.rows)
+            r = rng.random()
+            if not live or r < 0.4:
+                live.append(h.insert(rng.randrange(10 ** 6)))
+            elif r < 0.55:
+                h.delete_min()
+                live = [x for x in live if x.alive]
+            elif r < 0.8:
+                h.delete(live.pop(rng.randrange(len(live))))
+            else:
+                node = live[rng.randrange(len(live))]
+                h.increase_key(node, node.key[0] + rng.randrange(1000))
+            if len(led.rows) > rows:
+                assert led.rows[rows].before == phi, step
+            assert audit(h).passed, step
+        assert {r.op for r in led.rows} == {'insert', 'delete_min'}
+
+    @pytest.mark.parametrize('impl,pattern', [
+        ('lp', 'sawtooth'), ('exp', 'sawtooth'),
+        ('fhtng', 'adversarial-dk')])
+    def test_one_potential_per_row(self, impl, pattern, monkeypatch):
+        cls = HEAPS[impl]
+        name = 'potential_phi' if impl == 'lp' else 'potential'
+        pure = getattr(cls, name)
+        calls = [0]
+
+        def counted(self):
+            calls[0] += 1
+            return pure(self)
+
+        monkeypatch.setattr(cls, name, counted)
+        trace = gen(pattern, 4000, 0)
+        res = run_trace(trace, impl, phi=True)
+        assert res.ledger is not None
+        expected = len(res.ledger.rows) + 1  # one per row, one at attach
+        if impl == 'fhtng':
+            # a decrease_key row sums two mutations around a restoration
+            expected += sum(1 for op in trace.ops if op[0] == 'k')
+        assert calls[0] == expected
+
+    @pytest.mark.parametrize('select', ['det', 'rand'])
+    @pytest.mark.parametrize('pattern', PATTERNS)
+    @pytest.mark.parametrize('impl', sorted(HEAPS))
+    def test_phi_current_after_every_op(self, impl, pattern, select):
+        h = HEAPS[impl](selection=select, seed=5)
+        led = attach_ledger(h)
+        handles = []
+        for op in gen(pattern, 600, 1).ops:
+            if op[0] == 'i':
+                handles.append(h.insert(op[1]))
+            elif op[0] == 'd':
+                h.delete_min()
+            else:
+                h.decrease_key(handles[op[1]], op[2])
+            assert led.phi == current_phi(h)
