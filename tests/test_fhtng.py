@@ -241,6 +241,19 @@ class TestRestoringOps:
         assert (row.op, row.a, row.nominal) == (op, slot, 0)
         assert audit(h).passed
 
+    def test_bottom_merge_folds_slot4_into_slot3(self):
+        # underfull slot 4 with slot 3 occupied: nowhere above to refill
+        h = make_fhtng_state({3: 2, 4: 2})
+        led = attach_ledger(h)
+        meter0 = h.meter.snapshot()
+        h._restore()
+        assert h._ne == [3] and h.slot_sets[3].size == 4
+        assert [(r.op, r.a, r.nominal, r.dphi) for r in led.rows] \
+            == [('bottom_merge', 4, 1, -2)]
+        delta = [b - a for a, b in zip(meter0, h.meter.snapshot())]
+        assert delta == [0, 0, 1, 0]
+        assert audit(h).passed
+
     def test_restore_noop_when_clean(self):
         h = make_fhtng_state({4: 5, 6: 13})
         led = attach_ledger(h)

@@ -11,7 +11,7 @@ from partheap import (DeadHandleError, EmptyHeapError, ExpHeap,
                       OracleHeap, PATTERNS, PotentialLedger, SimpleLazyHeap,
                       Trace, attach_ledger, audit, differential_run, gen,
                       lemma_check, run_trace)
-from partheap.potential import current_phi
+from partheap.potential import PotRow, current_phi
 
 
 class TestOracleHeap:
@@ -369,7 +369,118 @@ class TestLemmaCheck:
         assert res.sharp_passed
 
 
-HEAPS = {'lp': LPHeap, 'fhtng': FHTNGHeap, 'exp': ExpHeap}
+# Hand-built rows for every branch of the three budgets.  Each entry is
+# (op, a, b, nominal, dphi, primary, sharp); a tier is None when it does
+# not check the row, else (bound, violated).
+BUDGET_TABLE = {
+    'lp': [
+        ('insert', 0, 0, 0, 4, (4, False), (4, False)),
+        ('insert', 0, 0, 0, 5, (4, True), (4, True)),
+        ('decrease_key', 0, 0, 0, 5, (4, True), (4, True)),
+        # a = |S_1| before, b = sets before: 4 * (5 - 3)
+        ('delete_min', 7, 5, 0, 8, (8, False), (8, False)),
+        ('delete_min', 7, 5, 0, 9, (8, True), (8, True)),
+        ('delete_min', 11, 2, 0, -11, (-12, True), (-12, True)),
+        ('delete', 0, 0, 0, 99, None, None),
+    ],
+    'fhtng': [
+        ('insert', 0, 0, 0, 1, (1, False), (1, False)),
+        ('insert', 0, 0, 0, 2, (1, True), (1, True)),
+        ('decrease_key', 0, 0, 0, 2, (2, False), (2, False)),
+        ('decrease_key', 0, 0, 0, 3, (2, True), (2, True)),
+        # a = nonempty slots before: bound a + 1
+        ('delete_min', 4, 0, 0, 5, (5, False), (5, False)),
+        ('delete_min', 4, 0, 0, 6, (5, True), (5, True)),
+        # restoring rows: nominal + dphi <= 0 from their threshold on
+        ('overflow_down', 3, 0, 1, -1, (-1, False), (-1, False)),
+        ('overflow_down', 3, 0, 1, 0, (-1, True), (-1, True)),
+        ('overflow_thru', 9, 0, 5, -4, (-5, True), (-5, True)),
+        ('underflow_up', 6, 0, 1, 0, (-1, True), (-1, True)),
+        ('underflow_thru', 3, 0, 0, 0, (0, False), (0, False)),
+        ('split_up', 12, 0, 8, -8, (-8, False), (-8, False)),
+        ('split_up', 12, 0, 8, -7, (-8, True), (-8, True)),
+        # below the threshold neither tier checks
+        ('underflow_up', 5, 0, 1, 5, None, None),
+        ('split_up', 10, 0, 2, 9, None, None),
+        # merge_down at slot 5 may gain one unit in the sharp tier
+        ('merge_down', 5, 0, 1, -1, (-1, False), (0, False)),
+        ('merge_down', 5, 0, 1, 0, (-1, True), (0, False)),
+        ('merge_down', 5, 0, 1, 1, (-1, True), (0, True)),
+        ('merge_down', 6, 0, 1, 0, (-1, True), (-1, True)),
+        ('bottom_merge', 4, 0, 1, 3, None, None),
+    ],
+    'exp': [
+        ('insert', 0, 0, 0, 2, (2, False), (2, False)),
+        ('insert', 0, 0, 0, 3, (2, True), (2, True)),
+        ('decrease_key', 0, 0, 0, 3, (2, True), (2, True)),
+        # a = number of sets
+        ('delete_min', 4, 0, 0, 4, (4, False), (4, False)),
+        ('delete_min', 4, 0, 0, 5, (4, True), (4, True)),
+        # push (i, j): -j + i + 3
+        ('push', 1, 3, 0, 1, (1, False), (1, False)),
+        ('push', 1, 3, 0, 2, (1, True), (1, True)),
+        # pull (i, m): -m - 2^(i-1) + 1, sharp -2^i - m + i + 2 for i < 3
+        ('pull', 3, 2, 0, -5, (-5, False), (-5, False)),
+        ('pull', 3, 2, 0, -4, (-5, True), (-5, True)),
+        ('pull', 1, 2, 0, -1, (-2, True), (-1, False)),
+        ('pull', 1, 2, 0, 0, (-2, True), (-1, True)),
+        ('pull', 2, 1, 0, -1, (-2, True), (-1, False)),
+        # swap-only pull: sharp tier only, -m + 1
+        ('pull', 0, 3, 0, -2, None, (-2, False)),
+        ('pull', 0, 3, 0, -1, None, (-2, True)),
+        ('trim', 0, 0, 0, 99, None, None),
+    ],
+}
+
+
+class TestBudgetTable:
+    '''Every branch of the budgets, on rows built by hand: the counts
+    and every reported (row, bound) pair in both tiers.'''
+
+    @staticmethod
+    def check(kind, table):
+        led = PotentialLedger(kind)
+        rows = []
+        for op, a, b, nominal, dphi, _, _ in table:
+            row = PotRow(op, a, b, nominal, (0, 0, 0), (dphi, 0, 0))
+            rows.append(row)
+        led.rows = rows
+        return rows, lemma_check(led)
+
+    @pytest.mark.parametrize('kind', sorted(BUDGET_TABLE))
+    def test_every_branch(self, kind):
+        table = BUDGET_TABLE[kind]
+        rows, res = self.check(kind, table)
+        primary = [(row, t[5][0]) for row, t in zip(rows, table)
+                   if t[5] is not None and t[5][1]]
+        sharp = [(row, t[6][0]) for row, t in zip(rows, table)
+                 if t[6] is not None and t[6][1]]
+        checked = sum(1 for t in table if t[5] is not None)
+        assert res.checked == checked
+        assert res.skipped == len(table) - checked
+        assert res.violations == primary
+        assert res.sharp_violations == sharp
+
+    @pytest.mark.parametrize('before,after,violated', [
+        ((0, 5, 0), (0, 3, 1), True),    # up rises, dphi = -1
+        ((0, 0, 0), (0, 1, 1), True),    # up rises, dphi = 2
+        ((0, 0, 3), (1, 3, 1), False),   # up falls, dphi = 2
+        ((0, 0, 3), (1, 4, 1), True),    # up falls, dphi = 3
+    ])
+    def test_fhtng_decrease_key_up_rise(self, before, after, violated):
+        '''An up rise fails the row whatever dphi is; the reported
+        bound is 2 either way.'''
+        led = PotentialLedger('fhtng')
+        row = PotRow('decrease_key', 0, 0, 0, before, after)
+        led.rows = [row]
+        res = lemma_check(led)
+        assert (res.checked, res.skipped) == (1, 0)
+        expect = [(row, 2)] if violated else []
+        assert res.violations == expect
+        assert res.sharp_violations == expect
+
+
+HEAPS ={'lp': LPHeap, 'fhtng': FHTNGHeap, 'exp': ExpHeap}
 
 
 class TestLedgerPhi:
