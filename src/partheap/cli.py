@@ -84,6 +84,9 @@ def _cmd_run(args):
 def _cmd_compare(args):
     trace = Trace.load(args.trace)
     impls = [s.strip() for s in args.impls.split(',') if s.strip()]
+    if not impls:
+        print('no implementation named in --impls %r' % args.impls)
+        return 2
     for impl in impls:
         if impl not in IMPLS:
             print('unknown implementation %r' % impl)

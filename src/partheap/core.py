@@ -19,7 +19,7 @@ keys.  This module provides the pieces they share:
   - pivot_search: counted binary search over a heap's sorted pivot
     list, the one pivot search every heap uses.
   - CostMeter: plain counters that define the "actual cost" used by the
-    instrumentation-level tests.
+    tests; each LinkedSet operation charges its own cost to a meter.
 '''
 
 import random
@@ -86,6 +86,9 @@ class LinkedSet:
 
     append / remove / concat touch O(1) nodes each.  Nodes keep their
     identity across every operation, which is what makes handles stable.
+    Given a ``meter``, each operation charges its own cost to it: append
+    one node move and one link, remove and concat one link, min_node
+    its comparisons.
     '''
 
     __slots__ = ('first', 'last', 'size')
@@ -98,7 +101,10 @@ class LinkedSet:
     def __len__(self):
         return self.size
 
-    def append(self, node):
+    def append(self, node, meter=None):
+        if meter is not None:
+            meter.node_moves += 1
+            meter.list_links += 1
         last = self.last
         node.prev = last
         node.next = None
@@ -109,7 +115,9 @@ class LinkedSet:
         self.last = node
         self.size += 1
 
-    def remove(self, node):
+    def remove(self, node, meter=None):
+        if meter is not None:
+            meter.list_links += 1
         prev = node.prev
         nxt = node.next
         if prev is None:
@@ -239,7 +247,8 @@ class CostMeter:
     comparisons        key-versus-key comparisons (binary searches,
                        min scans, selection, partition passes)
     node_moves         nodes relocated between lists, one per append
-    list_links         O(1) pointer-splice events (append/remove/concat)
+    list_links         O(1) splices, charged by LinkedSet append/remove/
+                       concat, and by hand for a whole set's slot move
     selection_elements elements handled by selection/partition passes,
                        counted once per pass over a subarray
     '''
@@ -253,18 +262,8 @@ class CostMeter:
         self.list_links = 0
         self.selection_elements = 0
 
-    def reset(self):
-        self.comparisons = 0
-        self.node_moves = 0
-        self.list_links = 0
-        self.selection_elements = 0
-
     def snapshot(self):
         return (self.comparisons, self.node_moves, self.list_links,
-                self.selection_elements)
-
-    def total_touches(self):
-        return (self.comparisons + self.node_moves +
                 self.selection_elements)
 
     def __repr__(self):

@@ -75,9 +75,7 @@ class ExpHeap(PartitionHeap):
         pos = self._find_pos(node.key)
         self.last_search_comparisons = meter.comparisons - c0
         s = self.sets[pos]
-        s.append(node)
-        meter.node_moves += 1
-        meter.list_links += 1
+        s.append(node, meter)
         self.n += 1
         if led is not None:
             led.record('insert', after=self.potential())
@@ -96,8 +94,7 @@ class ExpHeap(PartitionHeap):
         ell = len(self.sets)
         s1 = self.sets[0]
         node = s1.min_node(meter)
-        s1.remove(node)
-        meter.list_links += 1
+        s1.remove(node, meter)
         node.alive = False
         self.n -= 1
         if self.n == 0:
@@ -121,16 +118,13 @@ class ExpHeap(PartitionHeap):
         c0 = meter.comparisons
         pos = self._find_pos(node.key)
         c1 = meter.comparisons
-        self.sets[pos].remove(node)
-        meter.list_links += 1
+        self.sets[pos].remove(node, meter)
         node.key = key
         dst = self._find_pos(key)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c1)
         assert dst <= pos
         s = self.sets[dst]
-        s.append(node)
-        meter.node_moves += 1
-        meter.list_links += 1
+        s.append(node, meter)
         if led is not None:
             led.record('decrease_key', after=self.potential())
         if s.size == 3 << (dst + 1):

@@ -28,6 +28,9 @@ The Fibonacci numbers are the plain list ``FIB``.  The two nominal
 costs whose index can fall below 0, F_{i-4} for overflow_thru at slot
 3 and F_{i-6} for underflow_thru at slot 5, read F_0 = 0 there.
 
+Each restoring method returns its ledger row's name and nominal cost,
+and ``_restore`` records that one row for all of them.
+
 An underfull slot 4 with slot 3 occupied has no empty slot above to
 refill, so its set is folded into slot 3 instead (slot 3 is exempt
 from the lower bound); any resulting oversize of slot 3 is repaired by
@@ -146,9 +149,7 @@ class FHTNGHeap(PartitionHeap):
         slot = self._place_slot(node.key)
         self.last_search_comparisons = meter.comparisons - c0
         s = self.slot_sets[slot]
-        s.append(node)
-        meter.node_moves += 1
-        meter.list_links += 1
+        s.append(node, meter)
         self.n += 1
         if led is not None:
             led.record('insert', after=self.potential())
@@ -166,8 +167,7 @@ class FHTNGHeap(PartitionHeap):
         j = self._ne[0]
         s = self.slot_sets[j]
         node = s.min_node(meter)
-        s.remove(node)
-        meter.list_links += 1
+        s.remove(node, meter)
         node.alive = False
         self.n -= 1
         if s.size == 0:
@@ -188,8 +188,7 @@ class FHTNGHeap(PartitionHeap):
         assert pos > 1  # a live key is never below the first pivot
         src = self._ne[pos - 2]
         s = self.slot_sets[src]
-        s.remove(node)
-        meter.list_links += 1
+        s.remove(node, meter)
         if s.size == 0:
             self._clear_slot(src)
         node.key = key
@@ -201,9 +200,7 @@ class FHTNGHeap(PartitionHeap):
         dst = self._place_slot(key)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c2)
         s = self.slot_sets[dst]
-        s.append(node)
-        meter.node_moves += 1
-        meter.list_links += 1
+        s.append(node, meter)
         if led is not None:
             # the two direct mutations, summed componentwise so the
             # restoring sub-operations in between cancel out; phi2 is
@@ -256,27 +253,26 @@ class FHTNGHeap(PartitionHeap):
         and is skipped.  Otherwise the full scan runs and reports the
         same lowest-index violation it always did, so the order of
         restorations, the meter and the ledger rows are unchanged.
+
+        ``_find_violation`` names the restoring method and the slot; the
+        method returns ``(op, nominal)`` and this loop records the row.
         '''
         if touched is not None:
             size = self.slot_sets[touched].size
             if size < FIB[touched + 3] and (
                     touched == _FIRST_SLOT or size > FIB[touched]):
                 return
+        led = self.ledger
         guard = 0
         limit = 4 * (len(self.slot_sets) + 4)
         while True:
             violation = self._find_violation()
             if violation is None:
                 return
-            kind, i = violation
-            if kind == 'over':
-                self._overflow(i)
-            elif kind == 'under':
-                self._underflow(i)
-            elif kind == 'merge':
-                self._merge_down(i)
-            else:
-                self._split_up(i)
+            restoring, i = violation
+            op, nominal = restoring(i)
+            if led is not None:
+                led.record(op, a=i, nominal=nominal, after=self.potential())
             guard += 1
             limit = max(limit, 4 * (len(self.slot_sets) + 4))
             if guard > limit:
@@ -284,9 +280,10 @@ class FHTNGHeap(PartitionHeap):
                     'restoration did not converge in %d steps' % guard)
 
     def _find_violation(self):
-        '''Lowest-index violation: size bounds first at each slot, then
-        a nine-empty gap (reported at the nonempty slot below it), then
-        a three-nonempty run (reported at the run's last slot).'''
+        '''Lowest-index violation, as (restoring method, slot): size
+        bounds first at each slot, then a nine-empty gap (reported at
+        the nonempty slot below it), then a three-nonempty run
+        (reported at the run's last slot).'''
         fib = FIB
         sets = self.slot_sets
         ne = self._ne
@@ -296,11 +293,11 @@ class FHTNGHeap(PartitionHeap):
             gap = i - prev - 1
             size = sets[i].size
             if size >= fib[i + 3]:
-                return ('over', i)
+                return self._overflow, i
             if i > _FIRST_SLOT and size <= fib[i]:
-                return ('under', i)
+                return self._underflow, i
             if gap >= 9:
-                return ('split', i)
+                return self._split_up, i
             run = run + 1 if gap == 0 else 1
             if run >= 3:
                 end = i
@@ -308,7 +305,7 @@ class FHTNGHeap(PartitionHeap):
                 while k < len(ne) and ne[k] == end + 1:
                     end = ne[k]
                     k += 1
-                return ('merge', end)
+                return self._merge_down, end
             prev = i
         return None
 
@@ -316,17 +313,13 @@ class FHTNGHeap(PartitionHeap):
         '''Full set at slot i: slide into an empty slot below, or pass
         the largest F_{i+3} elements through the occupied one.'''
         meter = self.meter
-        led = self.ledger
         fib = FIB
         self._grow(i + 2)
         s = self.slot_sets[i]
         if self.slot_sets[i + 1] is None:
             self._set_slot(i + 1, s, self._clear_slot(i))
             meter.list_links += 1
-            if led is not None:
-                led.record('overflow_down', a=i, nominal=1,
-                           after=self.potential())
-            return
+            return 'overflow_down', 1
         assert self.slot_sets[i + 2] is None
         assert s.size >= fib[i + 3]
         target = self.slot_sets[i + 1]
@@ -337,26 +330,20 @@ class FHTNGHeap(PartitionHeap):
         self.slot_sets[i + 1] = low
         self._set_pivot(i + 1, low.min_node(meter).key)
         self._set_slot(i + 2, high, boundary)
-        if led is not None:
-            led.record('overflow_thru', a=i, nominal=fib[max(i - 4, 0)],
-                       after=self.potential())
+        return 'overflow_thru', fib[max(i - 4, 0)]
 
     def _underflow(self, i):
         '''Underfull set at slot i > 3: slide into an empty slot above,
         pull the smallest F_i back out through an occupied one, or fold
         into slot 3 when no slot above exists.'''
         meter = self.meter
-        led = self.ledger
         fib = FIB
         s = self.slot_sets[i]
         assert i > _FIRST_SLOT and s.size <= fib[i]
         if self.slot_sets[i - 1] is None:
             self._set_slot(i - 1, s, self._clear_slot(i))
             meter.list_links += 1
-            if led is not None:
-                led.record('underflow_up', a=i, nominal=1,
-                           after=self.potential())
-            return
+            return 'underflow_up', 1
         if i - 2 >= _FIRST_SLOT:
             assert self.slot_sets[i - 2] is None
             upper = self.slot_sets[i - 1]
@@ -369,22 +356,17 @@ class FHTNGHeap(PartitionHeap):
             self.slot_sets[i - 1] = high
             self._set_pivot(i - 1, boundary)
             self._set_slot(i - 2, low, low.min_node(meter).key)
-            if led is not None:
-                led.record('underflow_thru', a=i, nominal=fib[max(i - 6, 0)],
-                           after=self.potential())
-            return
+            return 'underflow_thru', fib[max(i - 6, 0)]
         # i == 4 and slot 3 occupied: nowhere above to refill
         s3 = self.slot_sets[_FIRST_SLOT]
         s3.concat(s, meter)
         self._clear_slot(i)
-        if led is not None:
-            led.record('bottom_merge', a=i, nominal=1, after=self.potential())
+        return 'bottom_merge', 1
 
     def _merge_down(self, i):
         '''Three nonempty slots end at i: concatenate slots i-1 and i
         into the empty slot i+1, keeping the lower slot's pivot.'''
         meter = self.meter
-        led = self.ledger
         self._grow(i + 1)
         assert self.slot_sets[i + 1] is None
         merged = self.slot_sets[i - 1]
@@ -392,15 +374,12 @@ class FHTNGHeap(PartitionHeap):
         meter.list_links += 1
         self._clear_slot(i)
         self._set_slot(i + 1, merged, self._clear_slot(i - 1))
-        if led is not None:
-            led.record('merge_down', a=i, nominal=1, after=self.potential())
+        return 'merge_down', 1
 
     def _split_up(self, i):
         '''Nine empty slots sit above nonempty slot i: split its set
         proportionally into slots i-2 and i-1.'''
         meter = self.meter
-        led = self.ledger
-        fib = FIB
         assert i >= 12  # nine empties above slot i force this
         s = self.slot_sets[i]
         a, b = proportional_split_sizes(i, s.size)
@@ -408,9 +387,7 @@ class FHTNGHeap(PartitionHeap):
         low, high, boundary = split_by_rank(s, a, meter, self._rng)
         self._set_slot(i - 2, low, low.min_node(meter).key)
         self._set_slot(i - 1, high, boundary)
-        if led is not None:
-            led.record('split_up', a=i, nominal=fib[i - 6],
-                       after=self.potential())
+        return 'split_up', FIB[i - 6]
 
     def __repr__(self):
         shape = ', '.join('%d:%d' % (i, self.slot_sets[i].size)

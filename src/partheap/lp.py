@@ -65,9 +65,7 @@ class LPHeap(PartitionHeap):
         c0 = meter.comparisons
         pos = core.pivot_search(self.pivots, key, meter)
         self.last_search_comparisons = meter.comparisons - c0
-        self.sets[pos - 1].append(node)
-        meter.node_moves += 1
-        meter.list_links += 1
+        self.sets[pos - 1].append(node, meter)
         self.n += 1
         if cached is not None:
             meter.comparisons += 1
@@ -95,8 +93,7 @@ class LPHeap(PartitionHeap):
         ell_before = len(self.sets)
         node = s1.min_node(meter)
         touches = s1_before
-        s1.remove(node)
-        meter.list_links += 1
+        s1.remove(node, meter)
         node.alive = False
         self.n -= 1
         emptied = s1.size == 0
@@ -128,16 +125,12 @@ class LPHeap(PartitionHeap):
         c0 = meter.comparisons
         pos = core.pivot_search(self.pivots, node.key, meter)
         c1 = meter.comparisons
-        src = self.sets[pos - 1]
-        src.remove(node)
-        meter.list_links += 1
+        self.sets[pos - 1].remove(node, meter)
         node.key = key
         dst_pos = core.pivot_search(self.pivots, key, meter)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c1)
         assert dst_pos <= pos
-        self.sets[dst_pos - 1].append(node)
-        meter.node_moves += 1
-        meter.list_links += 1
+        self.sets[dst_pos - 1].append(node, meter)
         meter.comparisons += 1
         if key < self.cached_min.key:
             self.cached_min = node
@@ -150,8 +143,7 @@ class LPHeap(PartitionHeap):
         self._check(node, 'delete')
         meter = self.meter
         pos = core.pivot_search(self.pivots, node.key, meter)
-        self.sets[pos - 1].remove(node)
-        meter.list_links += 1
+        self.sets[pos - 1].remove(node, meter)
         node.alive = False
         self.n -= 1
         was_min = node is self.cached_min
@@ -173,17 +165,14 @@ class LPHeap(PartitionHeap):
                                 % (node.key[0], user_key))
         meter = self.meter
         pos = core.pivot_search(self.pivots, node.key, meter)
-        self.sets[pos - 1].remove(node)
-        meter.list_links += 1
+        self.sets[pos - 1].remove(node, meter)
         was_min = node is self.cached_min
         node.key = (user_key, node.key[1])
         self._forget_pivots()
         if not self.sets:
             self.sets.append(LinkedSet())
         dst_pos = core.pivot_search(self.pivots, node.key, meter)
-        self.sets[dst_pos - 1].append(node)
-        meter.node_moves += 1
-        meter.list_links += 1
+        self.sets[dst_pos - 1].append(node, meter)
         if was_min:
             self.cached_min = self.sets[0].min_node(meter)
         if self.ledger is not None:
@@ -193,15 +182,14 @@ class LPHeap(PartitionHeap):
     def build(cls, items, selection='det', seed=0):
         '''Heap over ``items`` in one shot: everything lands in S_1.'''
         heap = cls(selection=selection, seed=seed)
+        meter = heap.meter
         s = LinkedSet()
         for user_key in items:
-            s.append(heap._node(user_key))
+            s.append(heap._node(user_key), meter)
         if s.size:
             heap.sets = [s]
             heap.n = s.size
-            heap.meter.node_moves += s.size
-            heap.meter.list_links += s.size
-            heap.cached_min = s.min_node(heap.meter)
+            heap.cached_min = s.min_node(meter)
         return heap
 
     def potential_phi(self):

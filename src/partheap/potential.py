@@ -1,10 +1,10 @@
 '''Potential ledger and exact amortization checks.
 
-Every instrumented heap appends one row per public operation (with the
-potential change of its direct mutations only) and one row per
-restoring sub-operation (with that sub-operation's own nominal cost
-and potential change).  ``lemma_check`` then asserts, in exact integer
-arithmetic, the per-row budget each operation is supposed to satisfy.
+Every instrumented heap records one row per public operation (the
+potential change of its direct mutations only) and one per restoring
+sub-operation (its nominal cost and potential change; FHTNG's come from
+``_restore``).  ``lemma_check`` checks each row, in exact integer
+arithmetic, against the budgets its heap kind's ``_BUDGETS`` entry gives.
 
 The ledger keeps ``phi``, the potential of the heap's structure as it
 is now, as the tuple ``current_phi`` returns.  The structure is at rest
@@ -136,116 +136,93 @@ class LemmaCheckResult:
 
 
 def lemma_check(ledger):
-    '''Assert every ledger row against its exact integer budget.'''
-    kind = ledger.kind
-    if kind == 'lp':
-        return _check_lp(ledger)
-    if kind == 'fhtng':
-        return _check_fhtng(ledger)
-    if kind == 'exp':
-        return _check_exp(ledger)
-    raise ValueError('no lemma checks for heap kind %r' % kind)
+    '''Assert every ledger row against its exact integer budget.
 
-
-def _check_lp(ledger):
+    ``_BUDGETS[kind](row)`` gives ``(charge, primary, sharp)``: the row's
+    ``dphi`` (FHTNG's decrease_key aside) and its bound in each tier,
+    None where a tier does not check the row.  A row is checked when its
+    primary tier checks it, else skipped.'''
+    try:
+        budget = _BUDGETS[ledger.kind]
+    except KeyError:
+        raise ValueError('no lemma checks for heap kind %r'
+                         % ledger.kind) from None
     res = LemmaCheckResult()
+    violations = res.violations
+    sharp_violations = res.sharp_violations
+    checked = 0
     for row in ledger.rows:
-        d = row.dphi
-        if row.op in ('insert', 'decrease_key'):
-            bound = LP_BETA
-        elif row.op == 'delete_min':
-            # a = |S_1| before, b = number of sets before
-            bound = LP_BETA * (row.b - (row.a - 1) // 2)
-        else:
-            res.skipped += 1
-            continue
-        res.checked += 1
-        if d > bound:
-            res.violations.append((row, bound))
-            res.sharp_violations.append((row, bound))
+        d, primary, sharp = budget(row)
+        if primary is not None:
+            checked += 1
+            if d > primary:
+                violations.append((row, primary))
+        if sharp is not None and d > sharp:
+            sharp_violations.append((row, sharp))
+    res.checked = checked
+    res.skipped = len(ledger.rows) - checked
     return res
 
 
-def _check_fhtng(ledger):
-    res = LemmaCheckResult()
-    for row in ledger.rows:
-        d = row.dphi
-        op = row.op
-        if op == 'insert':
-            res.checked += 1
-            if d > 1:
-                res.violations.append((row, 1))
-                res.sharp_violations.append((row, 1))
-        elif op == 'decrease_key':
-            res.checked += 1
-            d_up = row.after[2] - row.before[2]
-            if d > 2 or d_up > 0:
-                res.violations.append((row, 2))
-                res.sharp_violations.append((row, 2))
-        elif op == 'delete_min':
-            res.checked += 1
-            bound = row.a + 1  # a = nonempty slots before
-            if d > bound:
-                res.violations.append((row, bound))
-                res.sharp_violations.append((row, bound))
-        elif op in FHTNG_THRESHOLDS:
-            threshold = FHTNG_THRESHOLDS[op]
-            amortized = row.nominal + d
-            if row.a >= threshold:
-                res.checked += 1
-                if amortized > 0:
-                    res.violations.append((row, -row.nominal))
-            else:
-                res.skipped += 1
-            # sharp tier: merge_down at slot 5 may gain one unit of up
-            # potential from an undersized slot 3
-            if op == 'merge_down' and row.a == 5:
-                if amortized > 1:
-                    res.sharp_violations.append((row, 1 - row.nominal))
-            elif row.a >= threshold and amortized > 0:
-                res.sharp_violations.append((row, -row.nominal))
-        else:
-            res.skipped += 1  # bottom_merge and friends
-    return res
+def _lp_budget(row):
+    op = row.op
+    d = row.dphi
+    if op == 'insert' or op == 'decrease_key':
+        return d, LP_BETA, LP_BETA
+    if op == 'delete_min':
+        # a = |S_1| before, b = number of sets before
+        bound = LP_BETA * (row.b - (row.a - 1) // 2)
+        return d, bound, bound
+    return d, None, None
 
 
-def _check_exp(ledger):
-    res = LemmaCheckResult()
-    for row in ledger.rows:
-        d = row.dphi
-        op = row.op
-        if op in ('insert', 'decrease_key'):
-            res.checked += 1
-            if d > 2:
-                res.violations.append((row, 2))
-                res.sharp_violations.append((row, 2))
-        elif op == 'delete_min':
-            res.checked += 1
-            if d > row.a:  # a = number of sets
-                res.violations.append((row, row.a))
-                res.sharp_violations.append((row, row.a))
-        elif op == 'push':
-            res.checked += 1
-            bound = -row.b + row.a + 3
-            if d > bound:
-                res.violations.append((row, bound))
-                res.sharp_violations.append((row, bound))
-        elif op == 'pull':
-            i = row.a
-            m = row.b
-            if i >= 1:
-                res.checked += 1
-                bound = -m - (1 << (i - 1)) + 1
-                if d > bound:
-                    res.violations.append((row, bound))
-                sharp = bound if i >= 3 else (-(1 << i) - m + i + 2)
-                if d > sharp:
-                    res.sharp_violations.append((row, sharp))
-            else:
-                # swap-only pull: no selection level to parameterize
-                res.skipped += 1
-                if d > -m + 1:
-                    res.sharp_violations.append((row, -m + 1))
-        else:
-            res.skipped += 1
-    return res
+def _fhtng_budget(row):
+    op = row.op
+    d = row.dphi
+    if op == 'insert':
+        return d, 1, 1
+    if op == 'decrease_key':
+        # the up component may not rise at all: a rise is charged at
+        # least 3, over the bound 2 whatever dphi is
+        if d <= 2 and row.after[2] > row.before[2]:
+            d = 3
+        return d, 2, 2
+    if op == 'delete_min':
+        bound = row.a + 1  # a = nonempty slots before
+        return d, bound, bound
+    threshold = FHTNG_THRESHOLDS.get(op)
+    if threshold is None:
+        return d, None, None  # bottom_merge
+    # a restoring row pays its nominal cost: nominal + dphi <= 0
+    bound = -row.nominal
+    if op == 'merge_down' and row.a == 5:
+        # sharp tier: merge_down at slot 5 may gain one unit of up
+        # potential from an undersized slot 3
+        return d, bound, bound + 1
+    if row.a < threshold:
+        return d, None, None
+    return d, bound, bound
+
+
+def _exp_budget(row):
+    op = row.op
+    d = row.dphi
+    if op == 'insert' or op == 'decrease_key':
+        return d, 2, 2
+    if op == 'delete_min':
+        return d, row.a, row.a  # a = number of sets
+    if op == 'push':
+        bound = -row.b + row.a + 3
+        return d, bound, bound
+    if op == 'pull':
+        i = row.a
+        m = row.b
+        if i < 1:
+            # swap-only pull: no selection level to parameterize
+            return d, None, -m + 1
+        bound = -m - (1 << (i - 1)) + 1
+        return d, bound, bound if i >= 3 else -(1 << i) - m + i + 2
+    return d, None, None
+
+
+_BUDGETS = {'lp': _lp_budget, 'fhtng': _fhtng_budget, 'exp': _exp_budget}

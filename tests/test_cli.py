@@ -175,6 +175,13 @@ class TestCli:
         trace = self._gen(tmp_path, ops=10)
         assert main(['compare', str(trace), '--impls', 'lp,bogus']) == 2
 
+    @pytest.mark.parametrize('impls', [',', '', ' , '])
+    def test_compare_rejects_empty_impls(self, tmp_path, capsys, impls):
+        trace = self._gen(tmp_path, ops=10)
+        assert main(['compare', str(trace), '--impls', impls]) == 2
+        out = capsys.readouterr().out
+        assert 'no implementation' in out and 'agree' not in out
+
     def test_report_scaling_and_json(self, tmp_path, capsys):
         paths = []
         for exp_n, seed in ((8, 1), (10, 2)):

@@ -57,6 +57,23 @@ class TestLinkedSet:
         assert grabbed.key == 5
         assert grabbed in list(a.iter_nodes())
 
+    def test_append_remove_charge_meter(self):
+        s, _ = fill([4, 2])
+        meter = CostMeter()
+        node = Node(7)
+        s.append(node, meter)
+        assert meter.snapshot() == (0, 1, 1, 0)
+        s.remove(node, meter)
+        assert meter.snapshot() == (0, 1, 2, 0)
+
+    def test_no_meter_no_charge(self):
+        meter = CostMeter()
+        s, nodes = fill([4, 2])
+        s.append(Node(7), meter)
+        s.append(Node(9))
+        s.remove(nodes[0])
+        assert meter.snapshot() == (0, 1, 1, 0)
+
     def test_min_node_counts_comparisons(self):
         s, _ = fill([5, 3, 9, 7, 1])
         meter = CostMeter()
@@ -69,19 +86,26 @@ class TestLinkedSet:
     def test_matches_list_model(self, steps):
         sets = [LinkedSet() for _ in range(3)]
         models = [[] for _ in range(3)]
+        meter = CostMeter()
+        moves = links = 0
         for op, i, j, pick in steps:
             if op == 'append':
                 node = Node(pick)
-                sets[i].append(node)
+                sets[i].append(node, meter)
                 models[i].append(node)
+                moves += 1
+                links += 1
             elif op == 'remove' and models[i]:
                 node = models[i].pop(pick % len(models[i]))
-                sets[i].remove(node)
+                sets[i].remove(node, meter)
                 assert node.prev is None and node.next is None
+                links += 1
             elif op == 'concat' and i != j:
-                sets[i].concat(sets[j])
+                sets[i].concat(sets[j], meter)
                 models[i] += models[j]
                 models[j] = []
+                links += 1
+            assert meter.snapshot() == (0, moves, links, 0)
             for s, model in zip(sets, models):
                 assert walk(s.first, 'next', len(model)) == model
                 assert walk(s.last, 'prev', len(model)) == model[::-1]
@@ -172,11 +196,8 @@ class TestPivotSearch:
 
 class TestCostMeter:
 
-    def test_reset_and_snapshot(self):
+    def test_snapshot(self):
         meter = CostMeter()
         meter.comparisons += 3
         meter.node_moves += 2
         assert meter.snapshot() == (3, 2, 0, 0)
-        assert meter.total_touches() == 5
-        meter.reset()
-        assert meter.snapshot() == (0, 0, 0, 0)
