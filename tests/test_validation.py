@@ -437,20 +437,13 @@ class TestBudgetTable:
     '''Every branch of the budgets, on rows built by hand: the counts
     and every reported (row, bound) pair in both tiers.'''
 
-    @staticmethod
-    def check(kind, table):
-        led = PotentialLedger(kind)
-        rows = []
-        for op, a, b, nominal, dphi, _, _ in table:
-            row = PotRow(op, a, b, nominal, (0, 0, 0), (dphi, 0, 0))
-            rows.append(row)
-        led.rows = rows
-        return rows, lemma_check(led)
-
     @pytest.mark.parametrize('kind', sorted(BUDGET_TABLE))
     def test_every_branch(self, kind):
         table = BUDGET_TABLE[kind]
-        rows, res = self.check(kind, table)
+        led = PotentialLedger(kind)
+        rows = led.rows = [PotRow(op, a, b, nominal, (0, 0, 0), (dphi, 0, 0))
+                           for op, a, b, nominal, dphi, _, _ in table]
+        res = lemma_check(led)
         primary = [(row, t[5][0]) for row, t in zip(rows, table)
                    if t[5] is not None and t[5][1]]
         sharp = [(row, t[6][0]) for row, t in zip(rows, table)
@@ -480,7 +473,7 @@ class TestBudgetTable:
         assert res.sharp_violations == expect
 
 
-HEAPS ={'lp': LPHeap, 'fhtng': FHTNGHeap, 'exp': ExpHeap}
+HEAPS = {'lp': LPHeap, 'fhtng': FHTNGHeap, 'exp': ExpHeap}
 
 
 class TestLedgerPhi:
