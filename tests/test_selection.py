@@ -15,6 +15,27 @@ def fill(keys):
     return s
 
 
+def layouts(n):
+    '''Permutations of range(n) that stress a sampled pivot choice.'''
+    half = n // 2
+    shuffled = list(range(n))
+    random.Random(n).shuffle(shuffled)
+    interleave = [0] * n
+    # an evenly spaced sample of even step sees only the lower half
+    interleave[0::2] = range(n - half)
+    interleave[1::2] = range(n - half, n)
+    return {
+        'ascending': list(range(n)),
+        'descending': list(range(n - 1, -1, -1)),
+        'random': shuffled,
+        'organ-pipe': list(range(0, n, 2)) + list(range(n - 1 - n % 2, 0, -2)),
+        'interleave': interleave,
+    }
+
+
+LAYOUT_SIZES = [1 << e for e in range(10, 17)]
+
+
 class TestSelectRank:
 
     def test_minimum(self):
@@ -65,6 +86,20 @@ class TestSelectRank:
             ratios[k] = meter.selection_elements / size
         for k, ratio in ratios.items():
             assert ratio <= 2 * ratios[10], (k, ratios)
+
+    def test_adversarial_layouts(self):
+        # every layout and rank matches the sort oracle, and element
+        # touches per element at 2^16 stay within 2x those at 2^10
+        base = {}
+        for n in LAYOUT_SIZES:
+            for name, keys in layouts(n).items():
+                assert sorted(keys) == list(range(n))
+                for which, r in enumerate((1, (n + 1) // 2, n - 1)):
+                    meter = CostMeter()
+                    assert select_rank(fill(keys), r, meter) == r - 1
+                    ratio = meter.selection_elements / n
+                    base.setdefault((name, which), ratio)
+                    assert ratio <= 2 * base[name, which], (name, n, r, ratio)
 
 
 class TestSelectRankRandomized:
@@ -134,6 +169,17 @@ class TestSplitByRank:
         assert sorted(n.key for n in low.iter_nodes()) == ordered[:r]
         assert sorted(n.key for n in high.iter_nodes()) == ordered[r:]
         assert pivot == ordered[r]
+
+    def test_adversarial_layouts(self):
+        for n in LAYOUT_SIZES:
+            for name, keys in layouts(n).items():
+                for r in (1, (n + 1) // 2, n - 1):
+                    low, high, pivot = split_by_rank(fill(keys), r)
+                    assert pivot == r, (name, n, r)
+                    assert [x.key for x in low.iter_nodes()] == \
+                        [k for k in keys if k < r]
+                    assert [x.key for x in high.iter_nodes()] == \
+                        [k for k in keys if k >= r]
 
     def test_randomized_strategy_same_contract(self):
         rng = random.Random(3)
