@@ -3,7 +3,12 @@
 One selection loop, ``select``, serves both pivot rules behind the
 same rank contract:
 
-  - deterministic median-of-medians (groups of five), the default;
+  - deterministic, the default: each round brackets the rank between
+    two pivots from a sorted sample (Floyd & Rivest, "Expected time
+    bounds for selection", CACM 18(3), 1975) and falls back to one
+    median-of-medians round when the bracket misses, as Musser's
+    introselect does (Softw. Pract. Exper. 27(8), 1997): worst-case
+    linear, about 2 comparisons per element on random keys;
   - seeded quickselect, expected linear, when an ``rng`` is given.
 
 ``mom_select`` and ``quickselect`` name the two rules.  ``select_rank``
@@ -13,22 +18,75 @@ then chains each node onto the low or high side by writing its links
 directly, with no per-node ``append``.
 
 All of them report their work to a CostMeter: ``selection_elements``
-grows by the size of every subarray processed, ``comparisons`` by a
-linear charge per pass.  The counts are what the linearity tests
-measure, so they must stay proportional to real work; they are not
-required to be compare-exact.
+grows by the size of every subarray a pass reads, ``comparisons`` by
+what each pass does: one per element of a three-way partition, the
+bracket pass's exact count, 7 per group of five and n * bitlen(n - 1)
+per sort of n keys.  Only the sort charges are estimates; on the
+layouts of tests/test_selection.py real comparisons come to 0.60-0.98
+of the meter's, and that test pins the band.
 '''
+
+from math import isqrt
 
 from .core import LinkedSet
 
-_SMALL = 25
+_SMALL = 25     # sort outright at or below this size
+_BRACKET = 48   # T: det subarrays at least this long try a bracket first
+_SAMPLE = 3     # the bracket samples every (isqrt(n) // 3)-th element
+
+
+def _bracket(arr, k, meter):
+    '''One bracketing pass over ``arr`` for the 0-based rank ``k``.
+
+    Sorts an evenly spaced sample of about 3 sqrt(n) elements, in list
+    order, and takes the pivots ``lo`` and ``hi`` d = sqrt(m) sample
+    ranks either side of where rank k falls in the m-element sample.  A
+    pivot that falls off the sample is dropped, leaving that side open.
+    One pass keeps the elements with lo <= x <= hi, comparing first
+    against the pivot with more of ``arr`` outside it.
+
+    Returns ``(kept, k')`` when the k-th smallest is the k'-th of
+    ``kept`` and ``kept`` is at most half of ``arr``; otherwise None.
+    '''
+    n = len(arr)
+    sample = arr[::isqrt(n) // _SAMPLE]
+    sample.sort()
+    m = len(sample)
+    j = k * m // n
+    d = isqrt(m)
+    lo = sample[j - d] if j >= d else None
+    hi = sample[j + d] if j + d < m else None
+    if lo is not None and (hi is None or 2 * k >= n):
+        rest = [x for x in arr if not x < lo]
+        below = n - len(rest)
+        kept = rest if hi is None else [x for x in rest if not hi < x]
+    else:
+        rest = [x for x in arr if not hi < x]
+        kept = rest if lo is None else [x for x in rest if not x < lo]
+        below = len(rest) - len(kept)
+    if meter is not None:
+        meter.comparisons += m * (m - 1).bit_length() + n
+        if lo is not None and hi is not None:
+            meter.comparisons += len(rest)
+    if len(kept) <= n // 2 and 0 <= k - below < len(kept):
+        return kept, k - below
+    return None
 
 
 def select(keys, k, meter=None, rng=None):
     '''Return the 0-based k-th smallest of ``keys`` (list is consumed).
 
-    Pivots are medians of medians of five, worst-case linear time, or,
-    when ``rng`` is given, uniformly random elements drawn from it.
+    With no ``rng`` (det), a round on n >= T = 48 elements first tries
+    ``_bracket``, which succeeds when its two sampled pivots hold rank k
+    between them and leave at most n/2 elements.  When it misses, the
+    round runs one median-of-medians partition (groups of five) on the
+    same n elements, leaving at most 7n/10 + 2 after recursing on the
+    n/5 medians.  So every round either halves the subarray or is a
+    median-of-medians round, and the sample sort costs O(sqrt(n) log n):
+    the worst case stays linear.  Below T only median-of-medians rounds
+    run; a bracket there costs more than it saves.
+
+    With ``rng``, pivots are uniformly random elements drawn from it.
     '''
     arr = keys
     while True:
@@ -41,6 +99,13 @@ def select(keys, k, meter=None, rng=None):
             arr.sort()
             return arr[k]
         if rng is None:
+            if n >= _BRACKET:
+                found = _bracket(arr, k, meter)
+                if found is not None:
+                    arr, k = found
+                    continue
+                if meter is not None:
+                    meter.selection_elements += n
             medians = []
             for i in range(0, n, 5):
                 group = arr[i:i + 5]
@@ -51,7 +116,8 @@ def select(keys, k, meter=None, rng=None):
             pivot = select(medians, len(medians) // 2, meter)
         else:
             pivot = arr[rng.randrange(n)]
-        # three-way partition; keep the side holding rank k
+        # three-way partition; keep the side holding rank k.  The pivot
+        # is an element of arr, so one comparison per element suffices
         lows = []
         highs = []
         if meter is not None:
@@ -59,7 +125,7 @@ def select(keys, k, meter=None, rng=None):
         for x in arr:
             if x < pivot:
                 lows.append(x)
-            elif pivot < x:
+            elif x is not pivot:
                 highs.append(x)
         not_high = n - len(highs)
         if k < len(lows):

@@ -1,11 +1,13 @@
 '''Rank selection against the sort oracle.'''
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from partheap import CostMeter, LinkedSet, Node, select_rank, split_by_rank
+from partheap.selection import _SAMPLE, select
 
 
 def fill(keys):
@@ -15,15 +17,36 @@ def fill(keys):
     return s
 
 
+def counting_keys(values):
+    '''Keys with the given int values, and a one-item list that counts
+    the ordering comparisons made between them.  Only ``<`` is defined,
+    which is all that selection and ``list.sort`` use.'''
+    count = [0]
+
+    class Key:
+        __slots__ = ('v',)
+
+        def __init__(self, v):
+            self.v = v
+
+        def __lt__(self, other):
+            count[0] += 1
+            return self.v < other.v
+
+    return [Key(v) for v in values], count
+
+
 def layouts(n):
     '''Permutations of range(n) that stress a sampled pivot choice.'''
-    half = n // 2
     shuffled = list(range(n))
     random.Random(n).shuffle(shuffled)
+    # select's bracket samples every step-th position; holding the
+    # smallest keys there makes the bracket miss the ranks above them
+    step = isqrt(n) // _SAMPLE
+    sampled_first = sorted(range(n), key=lambda i: (i % step != 0, i))
     interleave = [0] * n
-    # an evenly spaced sample of even step sees only the lower half
-    interleave[0::2] = range(n - half)
-    interleave[1::2] = range(n - half, n)
+    for key, at in enumerate(sampled_first):
+        interleave[at] = key
     return {
         'ascending': list(range(n)),
         'descending': list(range(n - 1, -1, -1)),
@@ -88,18 +111,44 @@ class TestSelectRank:
             assert ratio <= 2 * ratios[10], (k, ratios)
 
     def test_adversarial_layouts(self):
-        # every layout and rank matches the sort oracle, and element
-        # touches per element at 2^16 stay within 2x those at 2^10
+        # every layout and rank matches the sort oracle; element touches
+        # per element at 2^16 stay within 2x those at 2^10; and the
+        # meter's comparisons bound the real ones from above, within a
+        # band (measured 0.60-0.98; sorted input makes list.sort cheap)
         base = {}
         for n in LAYOUT_SIZES:
-            for name, keys in layouts(n).items():
-                assert sorted(keys) == list(range(n))
+            for name, values in layouts(n).items():
                 for which, r in enumerate((1, (n + 1) // 2, n - 1)):
+                    keys, count = counting_keys(values)
                     meter = CostMeter()
-                    assert select_rank(fill(keys), r, meter) == r - 1
+                    assert select_rank(fill(keys), r, meter).v == r - 1
                     ratio = meter.selection_elements / n
                     base.setdefault((name, which), ratio)
                     assert ratio <= 2 * base[name, which], (name, n, r, ratio)
+                    assert 0.55 <= count[0] / meter.comparisons <= 1, \
+                        (name, n, r, count[0], meter.comparisons)
+
+    def test_interleave_forces_the_fallback(self):
+        # brackets that succeed halve the subarray, so touch under 2n in
+        # all; a miss adds a median-of-medians pass over the same n
+        for n in (1 << 10, 1 << 16):
+            meter = CostMeter()
+            assert select(layouts(n)['interleave'], n // 2, meter) == n // 2
+            assert meter.selection_elements > 2 * n
+
+    def test_median_comparisons(self):
+        # about 2 real comparisons per element at the median of random
+        # keys; median-of-medians alone makes about 7.5
+        rng = random.Random(12)
+        for e, runs in ((12, 16), (16, 2)):
+            n = 1 << e
+            total = 0
+            for _ in range(runs):
+                values = rng.sample(range(1 << 40), n)
+                keys, count = counting_keys(values)
+                assert select(keys, n // 2).v == sorted(values)[n // 2]
+                total += count[0]
+            assert total <= 3 * n * runs, (n, total / (n * runs))
 
 
 class TestSelectRankRandomized:
