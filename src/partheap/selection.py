@@ -170,7 +170,8 @@ def split_by_rank(linked_set, r, meter=None, rng=None):
     (r+1)-th smallest key.  Both keep the input's list order, and the
     input set is left empty.  Node identities are preserved, so handles
     into the original set stay valid.  Keys must be distinct (heap keys
-    always are).
+    always are): when the keys at ranks r and r+1 are equal no split
+    exists, and ValueError is raised with the input set as it was.
 
     One pass collects the nodes and their keys; the meter is charged
     what ``select_rank(linked_set, r + 1)`` charges plus ``size`` on
@@ -209,7 +210,14 @@ def split_by_rank(linked_set, r, meter=None, rng=None):
                 hi_last.next = node
             node.prev = hi_last
             hi_last = node
-    assert lo_size == r
+    if lo_size != r:
+        # relink the input in its original order before refusing
+        for a, b in zip(nodes, nodes[1:]):
+            a.next = b
+            b.prev = a
+        nodes[0].prev = nodes[-1].next = None
+        raise ValueError('no split at rank %d: the key there is repeated'
+                         % r)
     lo_last.next = hi_last.next = None
     low = LinkedSet()
     low.first, low.last, low.size = lo_first, lo_last, lo_size

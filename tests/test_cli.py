@@ -86,6 +86,25 @@ for pattern in PATTERNS:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ''
 
+    def test_split_refuses_duplicate_keys_without_asserts(self):
+        script = '''
+from partheap import LinkedSet, Node, split_by_rank
+if __debug__:
+    raise SystemExit('asserts still enabled')
+s = LinkedSet()
+for k in (1, 2, 2, 3):
+    s.append(Node(k))
+try:
+    low, high, pivot = split_by_rank(s, 2)
+    print('split into %d and %d' % (low.size, high.size))
+except ValueError:
+    pass
+print([n.key for n in s.iter_nodes()], s.size)
+'''
+        proc = run_optimized(script, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == '[1, 2, 2, 3] 4\n'
+
     def test_fhtng_foreign_handle_rejected_without_asserts(self):
         # FHTNG's pivot search alone cannot tell a foreign handle apart
         script = '''

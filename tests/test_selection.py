@@ -230,6 +230,20 @@ class TestSplitByRank:
                     assert [x.key for x in high.iter_nodes()] == \
                         [k for k in keys if k >= r]
 
+    def test_duplicate_keys_refused(self):
+        # the key at rank 3 also sits at rank 2, so no split at 2 exists
+        s = fill([2, 1, 3, 2])
+        nodes = list(s.iter_nodes())
+        with pytest.raises(ValueError):
+            split_by_rank(s, 2)
+        assert list(s.iter_nodes()) == nodes and s.size == 4
+        backward = []
+        at = s.last
+        while at is not None:
+            backward.append(at)
+            at = at.prev
+        assert backward == nodes[::-1]
+
     def test_randomized_strategy_same_contract(self):
         rng = random.Random(3)
         low, high, pivot = split_by_rank(fill([5, 3, 9, 7, 1]), 3, rng=rng)
