@@ -150,16 +150,12 @@ def quickselect(keys, k, rng, meter=None):
 def select_rank(linked_set, r, meter=None, rng=None):
     '''Return the r-th smallest key (1-based) of ``linked_set``.
 
-    The set is not modified.  Element touches are linear in the set
-    size: median-of-medians, or seeded quickselect when ``rng`` is
-    given.
+    The set is not modified.  The meter is charged what ``select``
+    charges: reading the keys is its first pass.
     '''
     if not 1 <= r <= linked_set.size:
         raise ValueError('rank %d out of range 1..%d' % (r, linked_set.size))
-    keys = linked_set.keys()
-    if meter is not None:
-        meter.selection_elements += len(keys)
-    return select(keys, r - 1, meter, rng)
+    return select(linked_set.keys(), r - 1, meter, rng)
 
 
 def split_by_rank(linked_set, r, meter=None, rng=None):
@@ -187,8 +183,6 @@ def split_by_rank(linked_set, r, meter=None, rng=None):
         nodes.append(at)
         keys.append(at.key)
         at = at.next
-    if meter is not None:
-        meter.selection_elements += size
     pivot = select(keys, r, meter, rng)
     # the partition pass: chain each node onto the low or high side in
     # list order by writing its links directly, one comparison per node

@@ -282,6 +282,6 @@ class TestSplitByRank:
                     assert rng.getstate() == rng_ref.getstate()
                 if size <= 25:
                     cmp = size * (size - 1).bit_length() + size
-                    assert meter.snapshot() == (cmp, size, size, 3 * size)
+                    assert meter.snapshot() == (cmp, size, size, 2 * size)
                     if rng:
                         assert rng.getstate() == state
