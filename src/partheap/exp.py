@@ -44,8 +44,9 @@ class ExpHeap(PartitionHeap):
     '''Addressable min-heap over exponentially capped sets.
 
     API: insert(key) -> handle, delete_min(), decrease_key(handle, key).
-    ``selection`` picks deterministic median-of-medians or seeded
-    quickselect for the rank selections done by pull.
+    ``selection`` picks deterministic selection (a sampled bracket with
+    a median-of-medians fallback) or seeded quickselect for the rank
+    selections done by pull.
     '''
 
     kind = 'exp'

@@ -28,8 +28,8 @@ class LPHeap(PartitionHeap):
     ``insert`` returns a stable handle accepted by ``decrease_key``,
     ``increase_key`` and ``delete``.  delete_min splits at the larger
     median; ``selection`` picks the rule that finds it: 'det' uses
-    deterministic median-of-medians, 'rand' seeded quickselect.  Both
-    give the same split.
+    deterministic selection (a sampled bracket with a median-of-medians
+    fallback), 'rand' seeded quickselect.  Both give the same split.
     '''
 
     kind = 'lp'

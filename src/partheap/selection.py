@@ -80,7 +80,7 @@ def select(keys, k, meter=None, rng=None):
     ``_bracket``, which succeeds when its two sampled pivots hold rank k
     between them and leave at most n/2 elements.  When it misses, the
     round runs one median-of-medians partition (groups of five) on the
-    same n elements, leaving at most 7n/10 + 2 after recursing on the
+    same n elements, leaving at most about 7n/10 after recursing on the
     n/5 medians.  So every round either halves the subarray or is a
     median-of-medians round, and the sample sort costs O(sqrt(n) log n):
     the worst case stays linear.  Below T only median-of-medians rounds
@@ -138,7 +138,8 @@ def select(keys, k, meter=None, rng=None):
 
 
 def mom_select(keys, k, meter=None):
-    '''``select`` with median-of-medians pivots.'''
+    '''``select`` with the det rule: sampled brackets, with
+    median-of-medians rounds below T and when a bracket misses.'''
     return select(keys, k, meter)
 
 

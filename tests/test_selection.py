@@ -112,9 +112,9 @@ class TestSelectRank:
 
     def test_adversarial_layouts(self):
         # every layout and rank matches the sort oracle; element touches
-        # per element at 2^16 stay within 2x those at 2^10; and the
-        # meter's comparisons bound the real ones from above, within a
-        # band (measured 0.60-0.98; sorted input makes list.sort cheap)
+        # per element at 2^16 stay within 2x those at 2^10; and real
+        # comparisons stay within a band of the meter's (measured
+        # 0.60-0.98: sorted input makes list.sort cheaper than charged)
         base = {}
         for n in LAYOUT_SIZES:
             for name, values in layouts(n).items():
