@@ -17,7 +17,8 @@ keys.  This module provides the pieces they share:
     equal to itself (NaN) is refused at insert, a handle must belong
     to this heap and be live, and decrease-key never raises a key.
   - pivot_search: counted binary search over a heap's sorted pivot
-    list, the one pivot search every heap uses.
+    list, or a ``lo:hi`` slice of it, the one pivot search every heap
+    uses.
   - CostMeter: plain counters that define the "actual cost" used by the
     tests; each LinkedSet operation charges its own cost to a meter.
 '''
@@ -271,18 +272,20 @@ class CostMeter:
                 self.snapshot())
 
 
-def pivot_search(pivots, key, meter=None, lo=0):
+def pivot_search(pivots, key, meter=None, lo=0, hi=None):
     '''Locate ``key`` among sorted ``pivots``; return a 1-based position.
 
     Position ``i`` means the key belongs to the i-th interval: every
     pivot at index < i-1 is <= key and every later pivot is > key (the
     lower end of each interval is inclusive).  An empty pivot array
-    returns 1.  As with ``bisect``'s ``lo``, only ``pivots[lo:]`` is
-    searched and the pivots before it count as <= key, so the result
-    is at least lo + 1.  Uses ceil(lg(len - lo + 1)) key comparisons,
-    all counted.
+    returns 1.  As with ``bisect``'s ``lo`` and ``hi``, only
+    ``pivots[lo:hi]`` is searched: the pivots before ``lo`` count as
+    <= key and those from ``hi`` on (default ``len(pivots)``) as > key,
+    so the result lies in [lo + 1, hi + 1].  Uses at most
+    ceil(lg(hi - lo + 1)) key comparisons, all counted.
     '''
-    hi = len(pivots)
+    if hi is None:
+        hi = len(pivots)
     comps = 0
     while lo < hi:
         mid = (lo + hi) >> 1

@@ -1,9 +1,10 @@
 '''Heap with exponentially bounded set sizes.
 
 Sets S_1..S_l obey a single size invariant, |S_i| < 3 * 2^i, with no
-lower bounds and empty sets allowed anywhere.  When an insert or
-decrease_key fills a set to 3 * 2^i, the whole set is pushed down one
-level; the push recurses while the receiving level is itself too big
+lower bounds and empty sets allowed anywhere.  A decrease_key whose new
+key is still at or above its set's lower pivot leaves the node where it
+is.  When an insert or a decrease_key that moves a node fills a set to
+3 * 2^i, the whole set is pushed down one level; the push recurses while the receiving level is itself too big
 to absorb it.  delete_min refills an empty S_1 by recursively pulling
 the smallest elements up, and trims the last set whenever the level
 count exceeds 1 + lg n, which keeps it logarithmic.
@@ -60,9 +61,10 @@ class ExpHeap(PartitionHeap):
     def num_sets(self):
         return len(self.sets)
 
-    def _find_pos(self, key):
-        '''0-based set index with pivot <= key < next pivot.'''
-        return pivot_search(self.pivots, key, self.meter, 1) - 2
+    def _find_pos(self, key, lo=1, hi=None):
+        '''0-based set index with pivot <= key < next pivot, searching
+        only ``pivots[lo:hi]`` as ``pivot_search`` does.'''
+        return pivot_search(self.pivots, key, self.meter, lo, hi) - 2
 
     # ------------------------------------------------------------------
     # public operations
@@ -112,18 +114,35 @@ class ExpHeap(PartitionHeap):
         return node.key[0]
 
     def decrease_key(self, node, user_key):
-        '''Lower the key of a live handle.'''
+        '''Lower the key of a live handle.  Sets are unordered, so a key
+        still at or above its set's lower pivot keeps its place in the
+        list; a lower one moves to a set nearer the front, found by a
+        search of the pivots before its old set.'''
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
+        pivots = self.pivots
         c0 = meter.comparisons
         pos = self._find_pos(node.key)
         c1 = meter.comparisons
-        self.sets[pos].remove(node, meter)
-        node.key = key
-        dst = self._find_pos(key)
+        dst = pos
+        if pos > 0:
+            meter.comparisons += 1
+            if key < pivots[pos]:
+                # below the source set: the first set, or one of the
+                # sets strictly between it and the source
+                dst = 0
+                if pos > 1:
+                    meter.comparisons += 1
+                    if not key < pivots[1]:
+                        dst = self._find_pos(key, 2, pos)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c1)
-        assert dst <= pos
+        node.key = key
+        if dst == pos:
+            if led is not None:
+                led.record('decrease_key', after=led.phi)
+            return
+        self.sets[pos].remove(node, meter)
         s = self.sets[dst]
         s.append(node, meter)
         if led is not None:

@@ -7,7 +7,9 @@ slot layout: never three nonempty slots in a row, and never nine empty
 slots in a row below the last nonempty slot.  Together the rules keep
 the first nonempty slot at index <= 11, so delete_min scans at most
 F_14 = 377 elements, and keep the number of pivots logarithmic for the
-binary searches done by insert and decrease_key.
+binary searches done by insert and decrease_key.  A decrease_key whose
+new key is still at or above its slot's pivot changes no slot size, so
+it neither moves the node nor restores anything.
 
 Six restoring operations repair violations, each with a constant or
 Fibonacci nominal cost that the potential tracker checks against the
@@ -122,11 +124,11 @@ class FHTNGHeap(PartitionHeap):
         assert self._ne[pos] == i
         self._ne_pivs[pos] = pivot
 
-    def _place_slot(self, key):
-        '''Destination slot for an arriving key: the rightmost slot
+    def _place_slot(self, key, pos):
+        '''Destination slot for an arriving key at the 1-based ``pos``
+        that a pivot search of ``_ne_pivs`` gave: the rightmost slot
         whose pivot is <= key, or slot 3 when the key is below every
         pivot (creating or re-bounding slot 3 as needed).'''
-        pos = pivot_search(self._ne_pivs, key, self.meter)
         if pos > 1:
             return self._ne[pos - 2]
         if self.slot_sets[_FIRST_SLOT] is None:
@@ -146,7 +148,8 @@ class FHTNGHeap(PartitionHeap):
         led = self.ledger
         node = self._node(user_key)
         c0 = meter.comparisons
-        slot = self._place_slot(node.key)
+        key = node.key
+        slot = self._place_slot(key, pivot_search(self._ne_pivs, key, meter))
         self.last_search_comparisons = meter.comparisons - c0
         s = self.slot_sets[slot]
         s.append(node, meter)
@@ -178,14 +181,27 @@ class FHTNGHeap(PartitionHeap):
         return node.key[0]
 
     def decrease_key(self, node, user_key):
-        '''Lower the key of a live handle.'''
+        '''Lower the key of a live handle.  Sets are unordered, so a key
+        still at or above its slot's pivot keeps its place in the list.
+        A lower one leaves its slot, the restoration runs, and the key
+        is placed by a search of the pivots before its old slot; when a
+        restoring operation ran, every pivot is searched, since it may
+        have changed the pivots below the old slot.'''
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
+        pivs = self._ne_pivs
         c0 = meter.comparisons
-        pos = pivot_search(self._ne_pivs, node.key, meter)
+        pos = pivot_search(pivs, node.key, meter)
         c1 = meter.comparisons
         assert pos > 1  # a live key is never below the first pivot
+        meter.comparisons += 1
+        if not key < pivs[pos - 2]:
+            node.key = key
+            self.last_search_comparisons = max(c1 - c0, 1)
+            if led is not None:
+                led.record('decrease_key', after=led.phi)
+            return
         src = self._ne[pos - 2]
         s = self.slot_sets[src]
         s.remove(node, meter)
@@ -195,10 +211,18 @@ class FHTNGHeap(PartitionHeap):
         if led is not None:
             phi0 = led.phi
             phi1 = led.phi = self.potential()
-        self._restore(src if s.size else None)
+        # without a restoring operation the pivots from the old slot's
+        # index on are still above the key
+        hi = len(pivs) if self._restore(src if s.size else None) else pos - 2
         c2 = meter.comparisons
-        dst = self._place_slot(key)
-        self.last_search_comparisons = max(c1 - c0, meter.comparisons - c2)
+        pos = 1
+        if hi:
+            meter.comparisons += 1
+            if not key < pivs[0]:
+                pos = pivot_search(pivs, key, meter, 1, hi)
+        dst = self._place_slot(key, pos)
+        self.last_search_comparisons = max(c1 - c0,
+                                           1 + meter.comparisons - c2)
         s = self.slot_sets[dst]
         s.append(node, meter)
         if led is not None:
@@ -240,7 +264,7 @@ class FHTNGHeap(PartitionHeap):
 
     def _restore(self, touched=None):
         '''Apply restoring operations, lowest-index violation first,
-        until none is left.
+        until none is left; return whether any was applied.
 
         ``touched`` names the one slot whose size a public operation
         changed, when the operation neither emptied nor created a slot.
@@ -261,14 +285,14 @@ class FHTNGHeap(PartitionHeap):
             size = self.slot_sets[touched].size
             if size < FIB[touched + 3] and (
                     touched == _FIRST_SLOT or size > FIB[touched]):
-                return
+                return False
         led = self.ledger
         guard = 0
         limit = 4 * (len(self.slot_sets) + 4)
         while True:
             violation = self._find_violation()
             if violation is None:
-                return
+                return guard > 0
             restoring, i = violation
             op, nominal = restoring(i)
             if led is not None:

@@ -6,7 +6,9 @@ remains of S_1 at the larger median, then runs a pivot-forgetting pass
 that concatenates any adjacent pair of sets holding fewer elements
 together than the number of elements before them.  That single rule
 keeps l <= 2*lg(n) + 1, so the binary search done by insert and
-decrease_key costs O(lg lg n) comparisons.
+decrease_key costs O(lg lg n) comparisons.  A decrease_key whose new
+key is still at or above its set's lower pivot leaves the node where
+it is, since sets are unordered.
 
 The reported potential is sum of LP_BETA * max(0, |S_j| -
 elements_before_j); the constant lives in ``potential`` next to the
@@ -118,25 +120,41 @@ class LPHeap(PartitionHeap):
         return node.key[0]
 
     def decrease_key(self, node, user_key):
-        '''Lower the key of a live handle (moves it toward the front).'''
+        '''Lower the key of a live handle.  Sets are unordered, so a key
+        still at or above its set's lower pivot keeps its place in the
+        list; a lower one moves toward the front, to the set found by a
+        search of the pivots before its old set.'''
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
+        pivots = self.pivots
         c0 = meter.comparisons
-        pos = core.pivot_search(self.pivots, node.key, meter)
+        pos = core.pivot_search(pivots, node.key, meter)
         c1 = meter.comparisons
-        self.sets[pos - 1].remove(node, meter)
-        node.key = key
-        dst_pos = core.pivot_search(self.pivots, key, meter)
+        dst_pos = pos
+        if pos > 1:
+            meter.comparisons += 1
+            if key < pivots[pos - 2]:
+                # below the source set: the first set, or one of the
+                # sets strictly between it and the source
+                dst_pos = 1
+                if pos > 2:
+                    meter.comparisons += 1
+                    if not key < pivots[0]:
+                        dst_pos = core.pivot_search(pivots, key, meter,
+                                                    1, pos - 2)
         self.last_search_comparisons = max(c1 - c0, meter.comparisons - c1)
-        assert dst_pos <= pos
-        self.sets[dst_pos - 1].append(node, meter)
+        node.key = key
+        if dst_pos != pos:
+            self.sets[pos - 1].remove(node, meter)
+            self.sets[dst_pos - 1].append(node, meter)
+            self._fresh_partition = False
         meter.comparisons += 1
         if key < self.cached_min.key:
             self.cached_min = node
-        self._fresh_partition = False
         if led is not None:
-            led.record('decrease_key', after=(self.potential_phi(),))
+            led.record('decrease_key', after=(
+                led.phi if dst_pos == pos else (self.potential_phi(),)))
 
     def delete(self, node):
         '''Remove an arbitrary live element by handle.'''

@@ -1,10 +1,12 @@
 '''Shared primitives: linked sets, pivot search, cost meter.'''
 
 import gc
+from bisect import bisect_right
 
 from hypothesis import given, strategies as st
 
 from partheap import CostMeter, LinkedSet, Node, pivot_search, split_by_rank
+from test_selection import counting_keys
 
 
 def fill(keys):
@@ -180,6 +182,16 @@ class TestPivotSearch:
         lo = data.draw(st.integers(0, len(pivots)))
         expect = 1 + lo + sum(1 for p in pivots[lo:] if p <= key)
         assert pivot_search(pivots, key, None, lo) == expect
+        # an end index counts the pivots from it on as > key, as bisect
+        # does; the meter counts every comparison, at most
+        # ceil(lg(hi - lo + 1)) of them
+        hi = data.draw(st.integers(lo, len(pivots)))
+        keys, count = counting_keys(pivots + [key])
+        meter = CostMeter()
+        got = pivot_search(keys[:-1], keys[-1], meter, lo, hi)
+        assert got == 1 + bisect_right(pivots, key, lo, hi)
+        assert meter.comparisons == count[0]
+        assert count[0] <= (hi - lo).bit_length()
 
     @given(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=64),
            st.integers(0, 1 << 20))

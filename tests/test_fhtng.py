@@ -153,6 +153,22 @@ class TestDecreaseKey:
         assert h.slot_sets[7] is None
         assert audit(h).passed
 
+    def test_search_after_restoring_op_spans_every_pivot(self):
+        # removal leaves slot 7 at F_7 = 13 under a larger slot 6: the
+        # 13 smallest of slot 6 move up to slot 5, and slot 6's pivot
+        # drops to 6013, below the new key, though the key was below
+        # slot 7's pivot; a search bounded by the old slot 7 would
+        # place it in slot 5
+        h = make_fhtng_state({6: 20, 7: 14})
+        led = attach_ledger(h)
+        node = next(h.slot_sets[7].iter_nodes())
+        h.decrease_key(node, 6500)
+        ops = [row.op for row in led.rows if row.op != 'decrease_key']
+        assert ops == ['underflow_thru']
+        assert keys_of(h.slot_sets[5]) == list(range(6000, 6013))
+        assert node in set(h.slot_sets[6].iter_nodes())
+        assert audit(h).passed
+
     def test_key_increase_rejected(self):
         h = FHTNGHeap()
         node = h.insert(4)

@@ -12,7 +12,12 @@ alter outputs or the cost model rewrites the file with
 
     PYTHONPATH=src python tests/test_fingerprint.py
 
-and says why.
+and says why.  To see what such a change moves before rewriting,
+
+    PYTHONPATH=src python tests/test_fingerprint.py --diff
+
+prints, for each case that differs from the file, the fields that
+differ with the old and new meter, and writes nothing.
 '''
 
 import hashlib
@@ -85,5 +90,35 @@ def write_golden():
         fh.write('\n')
 
 
+def print_diff():
+    '''Print each case's fields that differ from the file; return the
+    number of cases that differ.'''
+    with open(PATH) as fh:
+        golden = json.load(fh)
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            name = case_name(*case)
+            old = golden.get(name)
+            got = fingerprint(*case, os.path.join(tmp, 'costs.csv'))
+            if old is None:
+                print('%s: not in %s' % (name, os.path.basename(PATH)))
+                differing += 1
+                continue
+            fields = sorted(k for k in set(old) | set(got)
+                            if old.get(k) != got.get(k))
+            if fields:
+                differing += 1
+                print('%s: %s; meter %s -> %s' % (
+                    name, ', '.join(fields), old.get('meter'), got['meter']))
+    print('%d of %d cases differ' % (differing, len(CASES)))
+    return differing
+
+
 if __name__ == '__main__':
-    sys.exit(write_golden())
+    if sys.argv[1:] == ['--diff']:
+        print_diff()
+    elif sys.argv[1:]:
+        sys.exit('usage: test_fingerprint.py [--diff]')
+    else:
+        sys.exit(write_golden())

@@ -125,6 +125,20 @@ class TestForgetPivots:
         h._forget_pivots()
         assert [s.size for s in h.sets] == [8, 4, 20]
 
+    def test_inserts_alone_make_a_deep_pair_fire(self):
+        # at rest no pair fires; three inserts into S_1 raise the prefix
+        # of every later pair, and only the sixth and seventh sets fall
+        # below theirs.  After delete_min's split the first pairs still
+        # hold, so a sweep that stopped at the first pair past the front
+        # that does not fire would miss the deep one.
+        h = make_lp_state([2, 10, 10, 10, 15, 18])
+        assert audit(h).passed
+        for key in (1500, 1501, 1502):
+            h.insert(key)
+        assert h.delete_min() == 1000
+        assert [s.size for s in h.sets] == [2, 2, 10, 10, 10, 33]
+        assert audit(h).passed
+
     def test_no_rule_violation_after(self):
         rng = random.Random(9)
         for _ in range(40):
