@@ -4,10 +4,11 @@ Sets S_1..S_l obey a single size invariant, |S_i| < 3 * 2^i, with no
 lower bounds and empty sets allowed anywhere.  A decrease_key whose new
 key is still at or above its set's lower pivot leaves the node where it
 is.  When an insert or a decrease_key that moves a node fills a set to
-3 * 2^i, the whole set is pushed down one level; the push recurses while the receiving level is itself too big
-to absorb it.  delete_min refills an empty S_1 by recursively pulling
-the smallest elements up, and trims the last set whenever the level
-count exceeds 1 + lg n, which keeps it logarithmic.
+3 * 2^i, the whole set is pushed down one level; the push recurses
+while the receiving level is itself too big to absorb it.  delete_min
+refills an empty S_1 by recursively pulling the smallest elements up,
+and trims the last set whenever the level count exceeds 1 + lg n,
+which keeps it logarithmic.
 
 Pivots use a TOP sentinel when a pull's swap branch empties a set
 whose lower bound can no longer be stated from live keys.
