@@ -18,7 +18,11 @@ keys.  This module provides the pieces they share:
     to this heap and be live, and decrease-key never raises a key.
   - pivot_search: counted binary search over a heap's sorted pivot
     list, or a ``lo:hi`` slice of it, the one pivot search every heap
-    uses.
+    uses.  ``lower_search`` places a lowered key among the pivots
+    below its old set; every heap's decrease-key places with it.
+    ``relocation`` is LPHeap's and ExpHeap's whole decrease-key search
+    over their shared layout, ``pivots[j]`` bounding ``sets[j + 1]``
+    below: the source search, the stay test, then ``lower_search``.
   - CostMeter: plain counters that define the "actual cost" used by the
     tests; each LinkedSet operation charges its own cost to a meter.
 '''
@@ -297,3 +301,36 @@ def pivot_search(pivots, key, meter=None, lo=0, hi=None):
     if meter is not None:
         meter.comparisons += comps
     return lo + 1
+
+
+def lower_search(pivots, key, meter, hi):
+    '''Position of a lowered ``key`` among ``pivots[:hi]``, the pivots
+    below its old set, as ``pivot_search`` gives it.  ``pivots[0]`` is
+    tested first, since a decreased key often goes to the front, and
+    only a key at or above it searches ``pivots[1:hi]``.  With ``hi``
+    0 there is nothing to compare and the position is 1.'''
+    if not hi:
+        return 1
+    meter.comparisons += 1
+    if key < pivots[0]:
+        return 1
+    return pivot_search(pivots, key, meter, 1, hi)
+
+
+def relocation(pivots, old_key, key, meter):
+    '''Decrease-key's search: ``(src, dst, cost)`` for a node moving
+    from ``old_key`` down to ``key``.  ``src`` is the position of its
+    set and ``dst`` the one it belongs in; sets are unordered, so a key
+    still at or above its set's lower pivot ``pivots[src - 2]`` stays
+    (``dst == src``) after that one comparison.  A lower key goes to
+    ``lower_search``.  ``cost`` is the larger of the two searches'
+    comparison counts.'''
+    c0 = meter.comparisons
+    src = pivot_search(pivots, old_key, meter)
+    c1 = meter.comparisons
+    dst = src
+    if src > 1:
+        meter.comparisons += 1
+        if key < pivots[src - 2]:
+            dst = lower_search(pivots, key, meter, src - 2)
+    return src, dst, max(c1 - c0, meter.comparisons - c1)

@@ -10,10 +10,13 @@ refills an empty S_1 by recursively pulling the smallest elements up,
 and trims the last set whenever the level count exceeds 1 + lg n,
 which keeps it logarithmic.
 
-Pivots use a TOP sentinel when a pull's swap branch empties a set
-whose lower bound can no longer be stated from live keys.
+Pivots take LP's layout, ``pivots[j]`` bounding ``sets[j + 1]`` below,
+so decrease-key shares ``core.relocation`` with LPHeap.  A pivot is
+the TOP sentinel when a pull's swap branch empties a set whose lower
+bound can no longer be stated from live keys.
 '''
 
+from . import core
 from .core import EmptyHeapError, LinkedSet, PartitionHeap, pivot_search
 from .selection import split_by_rank
 
@@ -56,16 +59,15 @@ class ExpHeap(PartitionHeap):
     def __init__(self, selection='det', seed=0):
         super().__init__(selection, seed)
         self.sets = [LinkedSet()]
-        self.pivots = [None]  # pivots[k] bounds sets[k] below; [0] unused
+        self.pivots = []  # pivots[j] bounds sets[j + 1] below
 
     @property
     def num_sets(self):
         return len(self.sets)
 
-    def _find_pos(self, key, lo=1, hi=None):
-        '''0-based set index with pivot <= key < next pivot, searching
-        only ``pivots[lo:hi]`` as ``pivot_search`` does.'''
-        return pivot_search(self.pivots, key, self.meter, lo, hi) - 2
+    def _find_pos(self, key):
+        '''0-based index of the set whose pivots bracket ``key``.'''
+        return pivot_search(self.pivots, key, self.meter) - 1
 
     # ------------------------------------------------------------------
     # public operations
@@ -104,7 +106,7 @@ class ExpHeap(PartitionHeap):
         if self.n == 0:
             # nothing live: restart from the single-set shape
             self.sets = [LinkedSet()]
-            self.pivots = [None]
+            self.pivots = []
         elif (1 << (len(self.sets) - 1)) > self.n:
             last = self.sets.pop()
             self.pivots.pop()
@@ -122,34 +124,20 @@ class ExpHeap(PartitionHeap):
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
-        pivots = self.pivots
-        c0 = meter.comparisons
-        pos = self._find_pos(node.key)
-        c1 = meter.comparisons
-        dst = pos
-        if pos > 0:
-            meter.comparisons += 1
-            if key < pivots[pos]:
-                # below the source set: the first set, or one of the
-                # sets strictly between it and the source
-                dst = 0
-                if pos > 1:
-                    meter.comparisons += 1
-                    if not key < pivots[1]:
-                        dst = self._find_pos(key, 2, pos)
-        self.last_search_comparisons = max(c1 - c0, meter.comparisons - c1)
+        src, dst, self.last_search_comparisons = core.relocation(
+            self.pivots, node.key, key, meter)
         node.key = key
-        if dst == pos:
+        if dst == src:
             if led is not None:
                 led.record('decrease_key', after=led.phi)
             return
-        self.sets[pos].remove(node, meter)
-        s = self.sets[dst]
+        self.sets[src - 1].remove(node, meter)
+        s = self.sets[dst - 1]
         s.append(node, meter)
         if led is not None:
             led.record('decrease_key', after=self.potential())
-        if s.size == 3 << (dst + 1):
-            self._push_from(dst + 1)
+        if s.size == 3 << dst:
+            self._push_from(dst)
 
     def potential(self):
         '''(insert, push, pull) potential component sums; pure.'''
@@ -196,10 +184,10 @@ class ExpHeap(PartitionHeap):
             target = sets[j - 1]
             if target.size < (1 << j):
                 target.concat(moving, meter)
-                pivots[j - 1] = moving_min
+                pivots[j - 2] = moving_min
                 break
             sets[j - 1] = moving
-            pivots[j - 1] = moving_min
+            pivots[j - 2] = moving_min
             moving = target
             moving_min = moving.min_node(meter).key
             j += 1
@@ -229,13 +217,14 @@ class ExpHeap(PartitionHeap):
         if nxt.size <= (1 << (i - 1)):
             sets[i - 1], sets[i] = nxt, sets[i - 1]
             meter.list_links += 1
-            self.pivots[i] = self.pivots[i + 1] if i + 1 < len(self.pivots) else TOP
+            pivots = self.pivots
+            pivots[i - 1] = pivots[i] if i < len(pivots) else TOP
         else:
             low, high, boundary = split_by_rank(nxt, 1 << (i - 1),
                                                 meter, self._rng)
             sets[i - 1] = low
             sets[i] = high
-            self.pivots[i] = boundary
+            self.pivots[i - 1] = boundary
 
     def __repr__(self):
         return 'ExpHeap(n=%d, sets=%r)' % (self.n,

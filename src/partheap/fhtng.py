@@ -46,7 +46,8 @@ the operation emptied or created a slot (see ``_restore``).
 
 from bisect import bisect_left
 
-from .core import EmptyHeapError, LinkedSet, PartitionHeap, pivot_search
+from .core import (EmptyHeapError, LinkedSet, PartitionHeap, lower_search,
+                   pivot_search)
 from .selection import split_by_rank
 
 
@@ -215,12 +216,7 @@ class FHTNGHeap(PartitionHeap):
         # index on are still above the key
         hi = len(pivs) if self._restore(src if s.size else None) else pos - 2
         c2 = meter.comparisons
-        pos = 1
-        if hi:
-            meter.comparisons += 1
-            if not key < pivs[0]:
-                pos = pivot_search(pivs, key, meter, 1, hi)
-        dst = self._place_slot(key, pos)
+        dst = self._place_slot(key, lower_search(pivs, key, meter, hi))
         self.last_search_comparisons = max(c1 - c0,
                                            1 + meter.comparisons - c2)
         s = self.slot_sets[dst]

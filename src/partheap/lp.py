@@ -127,34 +127,19 @@ class LPHeap(PartitionHeap):
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
-        pivots = self.pivots
-        c0 = meter.comparisons
-        pos = core.pivot_search(pivots, node.key, meter)
-        c1 = meter.comparisons
-        dst_pos = pos
-        if pos > 1:
-            meter.comparisons += 1
-            if key < pivots[pos - 2]:
-                # below the source set: the first set, or one of the
-                # sets strictly between it and the source
-                dst_pos = 1
-                if pos > 2:
-                    meter.comparisons += 1
-                    if not key < pivots[0]:
-                        dst_pos = core.pivot_search(pivots, key, meter,
-                                                    1, pos - 2)
-        self.last_search_comparisons = max(c1 - c0, meter.comparisons - c1)
+        src, dst, self.last_search_comparisons = core.relocation(
+            self.pivots, node.key, key, meter)
         node.key = key
-        if dst_pos != pos:
-            self.sets[pos - 1].remove(node, meter)
-            self.sets[dst_pos - 1].append(node, meter)
+        if dst != src:
+            self.sets[src - 1].remove(node, meter)
+            self.sets[dst - 1].append(node, meter)
             self._fresh_partition = False
         meter.comparisons += 1
         if key < self.cached_min.key:
             self.cached_min = node
         if led is not None:
             led.record('decrease_key', after=(
-                led.phi if dst_pos == pos else (self.potential_phi(),)))
+                led.phi if dst == src else (self.potential_phi(),)))
 
     def delete(self, node):
         '''Remove an arbitrary live element by handle.'''

@@ -1,15 +1,16 @@
 '''Structural auditors.
 
 ``audit`` walks a quiescent heap and checks everything that is cheap
-to state and expensive to get wrong: stored sizes against traversal
-counts, pivot sandwiches, global key ordering across sets, and each
-structure's own shape invariants.  With a potential ledger attached,
+to state and expensive to get wrong.  One walk, ``_partition``, serves
+all three heaps: stored sizes against traversal counts, each set
+sandwiched between its own lower pivot and the next set's, pivot order,
+key order across sets and the element count.  Each ``_audit_*`` adds
+only its structure's shape invariants.  With a potential ledger attached,
 it also checks that the ledger's current potential is the structure's.
 Failures land in an AuditReport that names the first offending set or
 slot.  The replays that run these audits live in ``runner``.
 '''
 
-from .exp import TOP
 from .fhtng import FIB
 from .potential import current_phi
 
@@ -68,15 +69,11 @@ def _scan(report, label, linked_set):
 
 def audit(heap):
     '''Full structural audit; side-effect free.'''
-    kind = heap.kind
-    if kind == 'lp':
-        report = _audit_lp(heap)
-    elif kind == 'fhtng':
-        report = _audit_fhtng(heap)
-    elif kind == 'exp':
-        report = _audit_exp(heap)
-    else:
-        raise ValueError('no audit for heap kind %r' % kind)
+    shape = _SHAPES.get(heap.kind)
+    if shape is None:
+        raise ValueError('no audit for heap kind %r' % heap.kind)
+    report = AuditReport(heap.kind)
+    shape(report, heap)
     led = heap.ledger
     if led is not None and report.passed:
         # the ledger's phi is every next row's before: a stale one
@@ -88,49 +85,63 @@ def audit(heap):
     return report
 
 
-def _check_order(report, spans):
-    '''spans: [(label, lo, hi)] of nonempty sets in structure order.'''
-    for (la, _, ha), (lb, lob, _) in zip(spans, spans[1:]):
-        if not ha < lob:
+def _partition(report, parts, n):
+    '''Audit the partition every heap shares and return each part's
+    node count.  ``parts`` is [(label, linked set, lower pivot or None)]
+    in key order.  Each set is scanned; a nonempty one must lie at or
+    above its own pivot and below the next part's; the pivots must be
+    sorted, each set's keys must lie below the next nonempty set's, and
+    the parts must hold ``n`` nodes in all.'''
+    counts = []
+    prev = None  # (label, max key) of the last nonempty set
+    for k, (label, linked_set, pivot) in enumerate(parts):
+        count, lo, hi = _scan(report, label, linked_set)
+        counts.append(count)
+        if not count:
+            continue
+        if pivot is not None and lo < pivot:
+            report.fail('sandwich', 'min %s = %r below pivot %r'
+                        % (label, lo, pivot))
+        if k + 1 < len(parts):
+            upper = parts[k + 1][2]
+            if not hi < upper:
+                report.fail('sandwich', 'max %s = %r not below pivot %r'
+                            % (label, hi, upper))
+        if prev is not None and not prev[1] < lo:
             report.fail('order', 'max %s = %r not below min %s = %r'
-                        % (la, ha, lb, lob))
-
-
-def _audit_lp(heap):
-    report = AuditReport('lp')
-    sets = heap.sets
-    pivots = heap.pivots
-    if sets and len(pivots) != len(sets) - 1:
-        report.fail('index', '%d sets but %d pivots'
-                    % (len(sets), len(pivots)))
-        return report
-    if not sets and pivots:
-        report.fail('index', 'pivots without sets')
-        return report
-    total = 0
-    spans = []
-    sizes = []
-    for i, s in enumerate(sets):
-        count, lo, hi = _scan(report, 'S_%d' % (i + 1), s)
-        total += count
-        sizes.append(s.size)
-        if count:
-            spans.append(('S_%d' % (i + 1), lo, hi))
-            if i >= 1 and lo < pivots[i - 1]:
-                report.fail('sandwich', 'min S_%d = %r below pivot %r'
-                            % (i + 1, lo, pivots[i - 1]))
-            if i < len(pivots) and not hi < pivots[i]:
-                report.fail('sandwich', 'max S_%d = %r not below pivot %r'
-                            % (i + 1, hi, pivots[i]))
+                        % (prev[0], prev[1], label, lo))
+        prev = (label, hi)
+    pivots = [pivot for _, _, pivot in parts if pivot is not None]
     for a, b in zip(pivots, pivots[1:]):
         if b < a:
             report.fail('pivots', 'pivot order %r > %r' % (a, b))
-    _check_order(report, spans)
-    if total != heap.n:
+    if sum(counts) != n:
         report.fail('count', 'sets hold %d elements, heap says %d'
-                    % (total, heap.n))
+                    % (sum(counts), n))
+    return counts
+
+
+def _sets_partition(report, heap):
+    '''``_partition`` over LP's and Exp's layout, where ``pivots[j]``
+    bounds ``sets[j + 1]`` below; None when the pivot count does not
+    fit it.'''
+    sets = heap.sets
+    pivots = heap.pivots
+    if len(pivots) != max(len(sets) - 1, 0):
+        report.fail('index', '%d sets but %d pivots'
+                    % (len(sets), len(pivots)))
+        return None
+    parts = [('S_%d' % (j + 1), s, pivots[j - 1] if j else None)
+             for j, s in enumerate(sets)]
+    return _partition(report, parts, heap.n)
+
+
+def _audit_lp(report, heap):
+    sizes = _sets_partition(report, heap)
+    if sizes is None:
+        return
     n = heap.n
-    ell = len(sets)
+    ell = len(sizes)
     if n >= 1 and (1 << (ell - 1)) > n * n:
         report.fail('set-count', 'l = %d exceeds 2 lg %d + 1' % (ell, n))
     prefix = 0
@@ -154,11 +165,9 @@ def _audit_lp(heap):
                             'S_%d,S_%d hold %d together, %d smaller exist'
                             % (j + 1, j + 2, sizes[j] + sizes[j + 1], before))
             before += sizes[j]
-    return report
 
 
-def _audit_fhtng(heap):
-    report = AuditReport('fhtng')
+def _audit_fhtng(report, heap):
     fib = FIB
     ne = heap._ne
     # internal index coherence
@@ -167,22 +176,16 @@ def _audit_fhtng(heap):
     if occupied != ne or len(heap._ne_pivs) != len(ne):
         report.fail('index', 'nonempty index %r with %d pivots but slots %r'
                     % (ne, len(heap._ne_pivs), occupied))
-        return report
-    total = 0
-    spans = []
+        return
+    counts = _partition(report, [('slot %d' % i, heap.slot_sets[i], pivot)
+                                 for i, pivot in zip(ne, heap._ne_pivs)],
+                        heap.n)
     prev = None
     run = 0
-    for i, pivot in zip(ne, heap._ne_pivs):
-        s = heap.slot_sets[i]
-        count, lo, hi = _scan(report, 'slot %d' % i, s)
-        total += count
+    for i, count in zip(ne, counts):
         if count == 0:
             report.fail('empty-slot', 'slot %d present but empty' % i)
             continue
-        if lo < pivot:
-            report.fail('sandwich', 'min slot %d = %r below pivot %r'
-                        % (i, lo, pivot))
-        spans.append(('slot %d' % i, lo, hi))
         if count >= fib[i + 3]:
             report.fail('band', 'slot %d holds %d, not below F_%d = %d'
                         % (i, count, i + 3, fib[i + 3]))
@@ -198,52 +201,20 @@ def _audit_fhtng(heap):
             report.fail('consecutive-nonempty',
                         'three nonempty slots ending at %d' % i)
         prev = i
-    for a, b in zip(heap._ne_pivs, heap._ne_pivs[1:]):
-        if b < a:
-            report.fail('pivots', 'pivot order %r > %r' % (a, b))
-    _check_order(report, spans)
-    if total != heap.n:
-        report.fail('count', 'slots hold %d elements, heap says %d'
-                    % (total, heap.n))
-    return report
 
 
-def _audit_exp(heap):
-    report = AuditReport('exp')
-    sets = heap.sets
-    pivots = heap.pivots
-    if len(pivots) != len(sets):
-        report.fail('index', '%d sets but %d pivot entries'
-                    % (len(sets), len(pivots)))
-        return report
-    total = 0
-    spans = []
-    for i, s in enumerate(sets, start=1):
-        count, lo, hi = _scan(report, 'S_%d' % i, s)
-        total += count
+def _audit_exp(report, heap):
+    counts = _sets_partition(report, heap)
+    if counts is None:
+        return
+    for i, count in enumerate(counts, start=1):
         if count >= 3 << i:
             report.fail('size-bound', 'S_%d holds %d, bound %d'
                         % (i, count, 3 << i))
-        if i >= 2:
-            pivot = pivots[i - 1]
-            if count and lo < pivot:
-                report.fail('sandwich', 'min S_%d = %r below pivot %r'
-                            % (i, lo, pivot))
-            if count and pivot is TOP:
-                report.fail('sandwich', 'S_%d nonempty under TOP pivot' % i)
-        if count and i < len(sets) and pivots[i] is not TOP and not hi < pivots[i]:
-            report.fail('sandwich', 'max S_%d = %r not below pivot %r'
-                        % (i, hi, pivots[i]))
-        if count:
-            spans.append(('S_%d' % i, lo, hi))
-    for a, b in zip(pivots[1:], pivots[2:]):
-        if b < a:
-            report.fail('pivots', 'pivot order %r > %r' % (a, b))
-    _check_order(report, spans)
-    if total != heap.n:
-        report.fail('count', 'sets hold %d elements, heap says %d'
-                    % (total, heap.n))
-    if heap.n >= 1 and (1 << (len(sets) - 1)) > heap.n:
-        report.fail('set-count', 'l = %d exceeds 1 + lg %d'
-                    % (len(sets), heap.n))
-    return report
+    ell = len(counts)
+    if heap.n >= 1 and (1 << (ell - 1)) > heap.n:
+        report.fail('set-count', 'l = %d exceeds 1 + lg %d' % (ell, heap.n))
+
+
+# each kind's audit: its partition walk, then its shape rules
+_SHAPES = {'lp': _audit_lp, 'fhtng': _audit_fhtng, 'exp': _audit_exp}

@@ -49,15 +49,16 @@ def make_fhtng_state(slot_sizes, selection='det', seed=0):
 
 
 def make_exp_state(sizes, selection='det', seed=0):
-    '''ExpHeap with len(sizes) levels of the given sizes.'''
+    '''ExpHeap with len(sizes) levels of the given sizes, laid out as
+    make_lp_state lays out LPHeap.'''
     heap = ExpHeap(selection=selection, seed=seed)
     heap.sets = []
-    heap.pivots = []
     for j, size in enumerate(sizes):
         s = LinkedSet()
         _fill(s, heap, (j + 1) * BLOCK, size)
         heap.sets.append(s)
-        heap.pivots.append(None if j == 0 else ((j + 1) * BLOCK, -1))
+        if j >= 1:
+            heap.pivots.append(((j + 1) * BLOCK, -1))
         heap.n += size
     return heap
 

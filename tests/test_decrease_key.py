@@ -37,29 +37,22 @@ def sets_of(h):
 
 def lower_pivots(h):
     '''The lower pivot of each set in order; None where there is none.'''
-    if h.kind == 'lp':
-        return [None] + h.pivots
-    if h.kind == 'exp':
-        return [None] + h.pivots[1:]
-    return list(h._ne_pivs)
+    if h.kind == 'fhtng':
+        return list(h._ne_pivs)
+    return [None] + h.pivots
 
 
 def set_lower_pivot(h, j, pivot):
-    if h.kind == 'lp':
-        h.pivots[j - 1] = pivot
-    elif h.kind == 'exp':
-        h.pivots[j] = pivot
-    else:
+    if h.kind == 'fhtng':
         h._ne_pivs[j] = pivot
+    else:
+        h.pivots[j - 1] = pivot
 
 
 def search_cost(h, key):
     '''Comparisons the source search for ``key`` makes.'''
     meter = CostMeter()
-    if h.kind == 'fhtng':
-        pivot_search(h._ne_pivs, key, meter)
-    else:
-        pivot_search(h.pivots, key, meter, 1 if h.kind == 'exp' else 0)
+    pivot_search(h._ne_pivs if h.kind == 'fhtng' else h.pivots, key, meter)
     return meter.comparisons
 
 
@@ -165,12 +158,12 @@ def test_exp_top_pivot_behaves_as_before():
     # after the search
     h = make_exp_state([0, 1])
     h._pull(1)
-    assert h.pivots[1] is TOP
+    assert h.pivots[0] is TOP
     handles = [h.insert(k) for k in (500, 400, 300)]
     assert [s.size for s in h.sets] == [4, 0]
     for node in handles:
         check_stays(h, node, node.key[0] - 150)
-    assert h.pivots[1] is TOP
+    assert h.pivots[0] is TOP
     assert [h.delete_min() for _ in range(4)] == [150, 250, 350, 2000]
 
 

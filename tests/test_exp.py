@@ -21,7 +21,7 @@ class TestInsert:
         assert len(h.sets) == 2
         assert h.sets[0].size == 0
         assert h.sets[1].size == 6
-        assert h.pivots[1][0] == 10  # minimum of the pushed set
+        assert h.pivots[0][0] == 10  # minimum of the pushed set
         assert [r.op for r in led.rows if r.op == 'push'] == ['push']
         assert audit(h).passed
 
@@ -53,7 +53,7 @@ class TestPush:
         h.insert(1500)  # fills S_1 to 6, pushes into S_2
         assert h.sets[0].size == 0
         assert h.sets[1].size == 9
-        assert h.pivots[1][0] == 1000  # lowered to the pushed minimum
+        assert h.pivots[0][0] == 1000  # lowered to the pushed minimum
         assert audit(h).passed
 
     def test_displace_when_target_large(self):
@@ -65,8 +65,8 @@ class TestPush:
         assert h.sets[0].size == 0
         assert h.sets[1].size == 6
         assert h.sets[2].size == 7
-        assert h.pivots[1][0] == 1000
-        assert h.pivots[2][0] == 2000
+        assert h.pivots[0][0] == 1000
+        assert h.pivots[1][0] == 2000
         push_rows = [r for r in led.rows if r.op == 'push']
         assert len(push_rows) == 1
         assert (push_rows[0].a, push_rows[0].b) == (1, 3)
@@ -93,10 +93,10 @@ class TestDeleteMin:
         nodes = list(h.sets[1].iter_nodes())
         for node, k in zip(nodes, [4, 7, 2, 9]):
             node.key = (k, node.key[1])
-        h.pivots[1] = (2, -1)
+        h.pivots[0] = (2, -1)
         assert h.delete_min() == 2
         assert keys_of(h.sets[1]) == [4, 7, 9]
-        assert h.pivots[1][0] == 4
+        assert h.pivots[0][0] == 4
         assert audit(h).passed
 
     def test_empty_heap_raises(self):
@@ -131,7 +131,7 @@ class TestPull:
         assert h.sets[0].size == 1
         assert h.sets[1].size == 0
         from partheap.exp import TOP
-        assert h.pivots[1] is TOP  # raised past the moved element
+        assert h.pivots[0] is TOP  # raised past the moved element
 
     def test_recursive_selection_levels(self):
         # S_1, S_2 empty; S_3 holds five elements: level 2 selects its
@@ -140,12 +140,12 @@ class TestPull:
         nodes = list(h.sets[2].iter_nodes())
         for node, k in zip(nodes, [10, 11, 12, 13, 14]):
             node.key = (k, node.key[1])
-        h.pivots[2] = (10, -1)
+        h.pivots[1] = (10, -1)
         assert h.delete_min() == 10
         assert keys_of(h.sets[1]) == [11]
         assert keys_of(h.sets[2]) == [12, 13, 14]
-        assert h.pivots[2][0] == 12
-        assert h.pivots[1][0] == 11
+        assert h.pivots[1][0] == 12
+        assert h.pivots[0][0] == 11
         assert audit(h).passed
 
     def test_swap_branch_raises_pivot(self):

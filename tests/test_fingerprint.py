@@ -17,7 +17,8 @@ and says why.  To see what such a change moves before rewriting,
     PYTHONPATH=src python tests/test_fingerprint.py --diff
 
 prints, for each case that differs from the file, the fields that
-differ with the old and new meter, and writes nothing.
+differ with the old and new meter, writes nothing, and exits with
+status 1 when any case differs.
 '''
 
 import hashlib
@@ -117,7 +118,7 @@ def print_diff():
 
 if __name__ == '__main__':
     if sys.argv[1:] == ['--diff']:
-        print_diff()
+        sys.exit(1 if print_diff() else 0)
     elif sys.argv[1:]:
         sys.exit('usage: test_fingerprint.py [--diff]')
     else:

@@ -306,6 +306,21 @@ class TestAudit:
         report = audit(h)
         assert not report.passed
 
+    @pytest.mark.parametrize('kind', ('lp', 'fhtng', 'exp'))
+    def test_set_above_next_pivot_detected(self, kind):
+        # the second pivot lowered to the first: every set still lies
+        # at or above its own pivot and below the next set's keys, so
+        # only the upper side of the sandwich sees that the keys above
+        # the first pivot now belong to the later set
+        h = {'lp': lambda: make_lp_state([3, 3, 3]),
+             'fhtng': lambda: make_fhtng_state({4: 5, 6: 10}),
+             'exp': lambda: make_exp_state([2, 3, 5])}[kind]()
+        assert audit(h).passed
+        pivots = h._ne_pivs if kind == 'fhtng' else h.pivots
+        pivots[1] = pivots[0]
+        report = audit(h)
+        assert [check for check, _ in report.failures] == ['sandwich']
+
     @pytest.mark.parametrize('shape', [{5: 21}, {6: 8}, {3: 8}])
     def test_fhtng_band_is_exact(self, shape):
         # full at F_8 = 21, underfull at F_6 = 8, slot 3 full at F_6 = 8
