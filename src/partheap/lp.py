@@ -134,9 +134,12 @@ class LPHeap(PartitionHeap):
             self.sets[src - 1].remove(node, meter)
             self.sets[dst - 1].append(node, meter)
             self._fresh_partition = False
-        meter.comparisons += 1
-        if key < self.cached_min.key:
-            self.cached_min = node
+        if dst == 1:
+            # a key in a later set is at or above pivots[0], so above
+            # every key of S_1, where the cached minimum lies
+            meter.comparisons += 1
+            if key < self.cached_min.key:
+                self.cached_min = node
         if led is not None:
             led.record('decrease_key', after=(
                 led.phi if dst == src else (self.potential_phi(),)))
