@@ -16,8 +16,8 @@ the TOP sentinel when a pull's swap branch empties a set whose lower
 bound can no longer be stated from live keys.
 '''
 
-from . import core
-from .core import EmptyHeapError, LinkedSet, PartitionHeap, pivot_search
+from .core import (EmptyHeapError, LinkedSet, PartitionHeap, pivot_search,
+                   relocation)
 from .selection import split_by_rank
 
 
@@ -124,7 +124,7 @@ class ExpHeap(PartitionHeap):
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
-        src, dst, self.last_search_comparisons = core.relocation(
+        src, dst, self.last_search_comparisons = relocation(
             self.pivots, node.key, key, meter)
         node.key = key
         if dst == src:
