@@ -20,7 +20,7 @@ from .core import (CostMeter, DeadHandleError, EmptyHeapError,
 from .exp import ExpHeap
 from .fhtng import FHTNGHeap, FIB
 from .lp import LPHeap
-from .oracle import OracleHeap, SimpleLazyHeap
+from .oracle import OracleHeap
 from .potential import (PotentialLedger, attach_ledger, lemma_check)
 from .selection import mom_select, quickselect, select_rank, split_by_rank
 from .traces import PATTERNS, Trace, gen
@@ -32,7 +32,7 @@ __all__ = [
     'ExpHeap', 'FHTNGHeap', 'FIB', 'ForeignHandleError', 'Handle',
     'HeapError',
     'KeyOrderError', 'LPHeap', 'LinkedSet', 'Node', 'OracleHeap',
-    'PATTERNS', 'PotentialLedger', 'SimpleLazyHeap', 'Trace',
+    'PATTERNS', 'PotentialLedger', 'Trace',
     'attach_ledger', 'audit', 'compare_traces', 'differential_run',
     'gen', 'lemma_check', 'make_heap', 'mom_select', 'pivot_search',
     'quickselect', 'run_trace', 'select_rank', 'split_by_rank',

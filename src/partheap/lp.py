@@ -163,8 +163,10 @@ class LPHeap(PartitionHeap):
             self.ledger.phi = (self.potential_phi(),)
 
     def increase_key(self, node, user_key):
-        '''Raise the key of a live handle (delete + re-insert, same
-        tie-break counter).'''
+        '''Raise the key of a live handle: move it to the set its new
+        key belongs in (same tie-break counter), then sweep once, as
+        delete does, since the move can empty a set or make a pair
+        fire the concat rule.'''
         self._check(node, 'increase_key')
         if not user_key >= node.key[0]:
             raise KeyOrderError('increase_key from %r to smaller %r'
@@ -174,11 +176,9 @@ class LPHeap(PartitionHeap):
         self.sets[pos - 1].remove(node, meter)
         was_min = node is self.cached_min
         node.key = (user_key, node.key[1])
-        self._forget_pivots()
-        if not self.sets:
-            self.sets.append(LinkedSet())
         dst_pos = core.pivot_search(self.pivots, node.key, meter)
         self.sets[dst_pos - 1].append(node, meter)
+        self._forget_pivots()
         if was_min:
             self.cached_min = self.sets[0].min_node(meter)
         if self.ledger is not None:

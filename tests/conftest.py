@@ -1,4 +1,5 @@
-'''Shared fixtures: fabricators that build heaps in prescribed shapes.
+'''Shared fixtures: fabricators that build heaps in prescribed shapes,
+and a lockstep driver of LPHeap against OracleHeap.
 
 The fabricators bypass the public API so tests can start from exact
 set layouts (sizes, slot occupancy) with consistent keys and pivots:
@@ -6,7 +7,10 @@ each set receives a contiguous block of integer keys, and pivots sit
 at each block's first key.
 '''
 
-from partheap import ExpHeap, FHTNGHeap, LinkedSet, LPHeap
+import random
+
+from partheap import (ExpHeap, FHTNGHeap, LinkedSet, LPHeap, OracleHeap,
+                      audit)
 
 BLOCK = 1000  # key block per set; sets stay far apart
 
@@ -73,3 +77,67 @@ def drain(heap):
 
 def keys_of(linked_set):
     return sorted(node.key[0] for node in linked_set.iter_nodes())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def lockstep_with_oracle(seed, selection='det', build=False, ops=400):
+    '''Drive LPHeap and OracleHeap through one seeded mix of insert,
+    delete_min, decrease_key, delete and increase_key, including calls
+    on dead handles and keys that break the order rule (NaN too).  LP
+    starts from LPHeap.build over the initial keys, or from inserts of
+    them.  After every op the two must agree on the outcome or error
+    class, len and find_min, and LP must pass its audit; at the end
+    both drain to the same keys.  Return a description of the first
+    difference, or None.  Nothing here is an assert, so the driver
+    checks the same under ``python -O``.'''
+    rng = random.Random(seed)
+    keys = [rng.randrange(100) for _ in range(rng.randrange(60))]
+    ref = OracleHeap()
+    refs = [ref.insert(k) for k in keys]
+    if build:
+        lp = LPHeap.build(keys, selection=selection, seed=seed)
+        nodes = list(lp.sets[0].iter_nodes()) if lp.sets else []
+    else:
+        lp = LPHeap(selection=selection, seed=seed)
+        nodes = [lp.insert(k) for k in keys]
+    pairs = list(zip(nodes, refs))
+    for i in range(ops):
+        name = rng.choice(('insert', 'insert', 'delete_min', 'decrease_key',
+                           'delete', 'increase_key'))
+        if name == 'insert' or (name != 'delete_min' and not pairs):
+            name = 'insert'
+            key = rng.randrange(100)
+            pairs.append((lp.insert(key), ref.insert(key)))
+            args = (key,)
+            got = want = None
+        elif name == 'delete_min':
+            args = ()
+            got, want = _outcome(lp.delete_min), _outcome(ref.delete_min)
+        else:
+            node, handle = rng.choice(pairs)
+            step = rng.randrange(-5, 30)
+            key = handle.key[0] + (step if name == 'increase_key' else -step)
+            if rng.random() < 0.05:
+                key = float('nan')
+            args = () if name == 'delete' else (key,)
+            got = _outcome(getattr(lp, name), node, *args)
+            want = _outcome(getattr(ref, name), handle, *args)
+        seen = (got, len(lp), _outcome(lp.find_min))
+        expected = (want, len(ref), _outcome(ref.find_min))
+        if seen != expected:
+            return 'op %d %s%r: lp %r, oracle %r' % (i, name, args, seen,
+                                                    expected)
+        report = audit(lp)
+        if not report.passed:
+            return 'op %d %s%r: %r' % (i, name, args, report)
+    out = drain(lp)
+    want = drain(ref)
+    if out != want:
+        return 'drain: lp %r, oracle %r' % (out, want)
+    return None

@@ -86,6 +86,22 @@ for pattern in PATTERNS:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ''
 
+    def test_lp_lockstep_with_oracle_without_asserts(self):
+        script = '''
+import sys
+sys.path.insert(0, %r)
+from conftest import lockstep_with_oracle
+if __debug__:
+    raise SystemExit('asserts still enabled')
+for build in (False, True):
+    diff = lockstep_with_oracle(0, 'det', build)
+    if diff is not None:
+        print(build, diff)
+''' % os.path.dirname(os.path.abspath(__file__))
+        proc = run_optimized(script, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ''
+
     def test_split_refuses_duplicate_keys_without_asserts(self):
         script = '''
 from partheap import LinkedSet, Node, split_by_rank

@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from conftest import drain, keys_of, make_lp_state
-from partheap import (EmptyHeapError, KeyOrderError, LPHeap,
-                      SimpleLazyHeap, attach_ledger, audit, gen,
-                      lemma_check, run_trace)
+from conftest import drain, keys_of, lockstep_with_oracle, make_lp_state
+from partheap import (EmptyHeapError, KeyOrderError, LPHeap, OracleHeap,
+                      attach_ledger, audit, gen, lemma_check, run_trace)
 
 
 class TestInsert:
@@ -239,6 +238,23 @@ class TestDeleteAndIncrease:
         with pytest.raises(KeyOrderError):
             h.increase_key(node, 9)
 
+    def test_increase_whose_move_fires_concat_rule(self):
+        h = LPHeap()
+        h.insert(19)
+        h.delete_min()
+        node = h.insert(8)
+        for k in (18, 1):
+            h.insert(k)
+        h.delete_min()
+        for k in (12, 5, 9):
+            h.insert(k)
+        h.delete_min()
+        h.insert(0)
+        h.increase_key(node, 11)
+        assert [s.size for s in h.sets] == [3, 2]
+        assert audit(h).passed
+        assert drain(h) == [0, 9, 11, 12, 18]
+
     def test_delete_then_operations_stay_consistent(self):
         rng = random.Random(13)
         h = LPHeap()
@@ -358,7 +374,7 @@ class TestDifferentialAgainstListModel:
 
     def _replay_both(self, trace):
         a = LPHeap()
-        b = SimpleLazyHeap()
+        b = OracleHeap()
         ha, hb = [], []
         out_a, out_b = [], []
         for op in trace.ops:
@@ -371,10 +387,7 @@ class TestDifferentialAgainstListModel:
             else:
                 a.decrease_key(ha[op[1]], op[2])
                 b.decrease_key(hb[op[1]], op[2])
-        out_a.extend(drain(a))
-        while b.n:
-            out_b.append(b.delete_min())
-        return out_a, out_b
+        return out_a + drain(a), out_b + drain(b)
 
     @pytest.mark.parametrize('pattern', ['random', 'dijkstra-like',
                                          'sawtooth', 'adversarial-dk'])
@@ -382,6 +395,15 @@ class TestDifferentialAgainstListModel:
         trace = gen(pattern, 1500, seed=42)
         out_a, out_b = self._replay_both(trace)
         assert out_a == out_b
+
+
+class TestLockstepWithOracle:
+
+    @pytest.mark.parametrize('build', [False, True], ids=['insert', 'build'])
+    @pytest.mark.parametrize('selection', ['det', 'rand'])
+    @pytest.mark.parametrize('seed', range(5))
+    def test_all_five_ops_agree(self, seed, selection, build):
+        assert lockstep_with_oracle(seed, selection, build) is None
 
 
 class TestRandomizedSelection:

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import drain, make_exp_state, make_fhtng_state, make_lp_state
 from partheap import (DeadHandleError, EmptyHeapError, ExpHeap,
                       FHTNGHeap, ForeignHandleError, KeyOrderError, LPHeap,
-                      OracleHeap, PATTERNS, PotentialLedger, SimpleLazyHeap,
-                      Trace, attach_ledger, audit, differential_run, gen,
+                      OracleHeap, PATTERNS, PotentialLedger, Trace,
+                      attach_ledger, audit, differential_run, gen,
                       lemma_check, run_trace)
 from partheap.potential import PotRow, current_phi
 
@@ -41,6 +41,21 @@ class TestOracleHeap:
         with pytest.raises(EmptyHeapError):
             h.delete_min()
 
+    def test_delete_and_increase_key(self):
+        h = OracleHeap()
+        a, b, c = (h.insert(k) for k in (4, 7, 4))
+        h.increase_key(a, 9)
+        with pytest.raises(KeyOrderError):
+            h.increase_key(b, float('nan'))
+        h.delete(c)
+        assert not c.alive and len(h) == 2 and h.find_min() == 7
+        for op in (h.delete, lambda x: h.increase_key(x, 10)):
+            with pytest.raises(DeadHandleError):
+                op(c)
+        h.increase_key(b, 9)  # ties keep a's insertion order
+        assert h.delete_min() == 9 and not a.alive and b.alive
+        assert [h.delete_min() for _ in range(len(h))] == [9]
+
     def test_ties_broken_by_insertion_order(self):
         h = OracleHeap()
         first = h.insert(7)
@@ -50,36 +65,15 @@ class TestOracleHeap:
         assert second.alive
 
 
-class TestSimpleLazyHeap:
-
-    def test_matches_sorted_drain(self):
-        rng = random.Random(1)
-        keys = [rng.randrange(1 << 16) for _ in range(300)]
-        h = SimpleLazyHeap()
-        for k in keys:
-            h.insert(k)
-        assert [h.delete_min() for _ in range(len(keys))] == sorted(keys)
-
-    def test_delete_and_decrease(self):
-        h = SimpleLazyHeap()
-        a = h.insert(5)
-        b = h.insert(9)
-        h.decrease_key(b, 1)
-        h.delete(a)
-        assert h.delete_min() == 1
-        assert h.n == 0
-
-
 class TestUnorderableKeys:
 
-    @pytest.mark.parametrize('cls', [LPHeap, FHTNGHeap, ExpHeap, OracleHeap,
-                                     SimpleLazyHeap])
+    @pytest.mark.parametrize('cls', [LPHeap, FHTNGHeap, ExpHeap, OracleHeap])
     def test_decrease_key_to_nan_rejected(self, cls):
         h = cls()
         handles = [h.insert(k) for k in (5, 3, 8, 1, 9)]
         with pytest.raises(KeyOrderError):
             h.decrease_key(handles[2], float('nan'))
-        if cls not in (OracleHeap, SimpleLazyHeap):
+        if cls is not OracleHeap:
             assert audit(h).passed
         assert [h.delete_min() for _ in range(5)] == [1, 3, 5, 8, 9]
 
