@@ -93,7 +93,7 @@ class LPHeap(PartitionHeap):
         s1 = self.sets[0]
         s1_before = s1.size
         ell_before = len(self.sets)
-        node = s1.min_node(meter)
+        node = self.cached_min
         touches = s1_before
         s1.remove(node, meter)
         node.alive = False
