@@ -9,8 +9,8 @@ at each block's first key.
 
 import random
 
-from partheap import (ExpHeap, FHTNGHeap, LinkedSet, LPHeap, OracleHeap,
-                      audit)
+from partheap import (ExpHeap, FHTNGHeap, HeapError, LinkedSet, LPHeap,
+                      OracleHeap, audit)
 
 BLOCK = 1000  # key block per set; sets stay far apart
 
@@ -82,12 +82,12 @@ def keys_of(linked_set):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except Exception as exc:
+    except HeapError as exc:
         return type(exc)
 
 
-def lockstep_with_oracle(seed, selection='det', build=False, ops=400):
-    '''Drive LPHeap and OracleHeap through one seeded mix of insert,
+def lockstep_with_oracle(seed, selection='det', build=False):
+    '''Drive LPHeap and OracleHeap through 400 seeded random ops: insert,
     delete_min, decrease_key, delete and increase_key, including calls
     on dead handles and keys that break the order rule (NaN too).  LP
     starts from LPHeap.build over the initial keys, or from inserts of
@@ -107,7 +107,7 @@ def lockstep_with_oracle(seed, selection='det', build=False, ops=400):
         lp = LPHeap(selection=selection, seed=seed)
         nodes = [lp.insert(k) for k in keys]
     pairs = list(zip(nodes, refs))
-    for i in range(ops):
+    for i in range(400):
         name = rng.choice(('insert', 'insert', 'delete_min', 'decrease_key',
                            'delete', 'increase_key'))
         if name == 'insert' or (name != 'delete_min' and not pairs):
