@@ -15,7 +15,7 @@ reports per-operation costs.
 '''
 
 from .core import (CostMeter, DeadHandleError, EmptyHeapError,
-                   ForeignHandleError, Handle, HeapError, KeyOrderError,
+                   ForeignHandleError, HeapError, KeyOrderError,
                    LinkedSet, Node, pivot_search)
 from .exp import ExpHeap
 from .fhtng import FHTNGHeap, FIB
@@ -29,8 +29,7 @@ from .validation import AuditReport, audit
 
 __all__ = [
     'AuditReport', 'CostMeter', 'DeadHandleError', 'EmptyHeapError',
-    'ExpHeap', 'FHTNGHeap', 'FIB', 'ForeignHandleError', 'Handle',
-    'HeapError',
+    'ExpHeap', 'FHTNGHeap', 'FIB', 'ForeignHandleError', 'HeapError',
     'KeyOrderError', 'LPHeap', 'LinkedSet', 'Node', 'OracleHeap',
     'PATTERNS', 'PotentialLedger', 'Trace',
     'attach_ledger', 'audit', 'compare_traces', 'differential_run',

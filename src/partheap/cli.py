@@ -27,8 +27,6 @@ def _build_parser():
     p_run = sub.add_parser('run', help='replay a trace on one heap')
     p_run.add_argument('trace')
     p_run.add_argument('--impl', default='lp', choices=sorted(IMPLS))
-    p_run.add_argument('--select', default='det', choices=('det', 'rand'))
-    p_run.add_argument('--seed', type=int, default=0)
     p_run.add_argument('--audit-every', type=int, default=0)
     p_run.add_argument('--oracle', action='store_true',
                        help='mirror every op on the oracle heap')
@@ -40,8 +38,6 @@ def _build_parser():
                            help='replay one trace on several heaps')
     p_cmp.add_argument('trace')
     p_cmp.add_argument('--impls', default='lp,fhtng,exp')
-    p_cmp.add_argument('--select', default='det', choices=('det', 'rand'))
-    p_cmp.add_argument('--seed', type=int, default=0)
 
     p_rep = sub.add_parser('report', help='summarize cost files')
     p_rep.add_argument('costs', nargs='+')
@@ -59,8 +55,7 @@ def _cmd_gen(args):
 
 def _cmd_run(args):
     trace = Trace.load(args.trace)
-    result = run_trace(trace, impl=args.impl, select=args.select,
-                       seed=args.seed, audit_every=args.audit_every,
+    result = run_trace(trace, impl=args.impl, audit_every=args.audit_every,
                        oracle=args.oracle, phi=args.phi,
                        costs_path=args.costs)
     if result.lemma is not None:
@@ -91,8 +86,7 @@ def _cmd_compare(args):
         if impl not in IMPLS:
             print('unknown implementation %r' % impl)
             return 2
-    all_equal, results = compare_traces(trace, impls, select=args.select,
-                                        seed=args.seed)
+    all_equal, results = compare_traces(trace, impls)
     for impl in impls:
         outs = results[impl]
         print('%-6s %d delete_min outputs' % (impl, len(outs)))

@@ -27,8 +27,6 @@ keys.  This module provides the pieces they share:
     tests; each LinkedSet operation charges its own cost to a meter.
 '''
 
-import random
-
 
 class HeapError(Exception):
     '''Base class for heap usage errors.'''
@@ -75,10 +73,6 @@ class Node:
     def __repr__(self):
         state = '' if self.alive else ', dead'
         return 'Node(%r%s)' % (self.key, state)
-
-
-# The public handle type is just the node.
-Handle = Node
 
 
 class LinkedSet:
@@ -196,14 +190,9 @@ class PartitionHeap:
     Subclasses keep their public operations and restructuring in their
     own class bodies; this class holds the state they all start with
     and the checks their public operations make before any mutation.
-    ``selection`` is 'det' or 'rand'; 'rand' seeds ``_rng`` with
-    ``seed``, and 'det' leaves it None.
     '''
 
-    def __init__(self, selection='det', seed=0):
-        if selection not in ('det', 'rand'):
-            raise ValueError('selection must be "det" or "rand"')
-        self._rng = random.Random(seed) if selection == 'rand' else None
+    def __init__(self):
         self.n = 0
         self.meter = CostMeter()
         self.ledger = None

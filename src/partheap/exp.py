@@ -49,15 +49,14 @@ class ExpHeap(PartitionHeap):
     '''Addressable min-heap over exponentially capped sets.
 
     API: insert(key) -> handle, delete_min(), decrease_key(handle, key).
-    ``selection`` picks deterministic selection (a sampled bracket with
-    a median-of-medians fallback) or seeded quickselect for the rank
-    selections done by pull.
+    The rank selections done by pull use deterministic selection: a
+    sampled bracket with a median-of-medians fallback.
     '''
 
     kind = 'exp'
 
-    def __init__(self, selection='det', seed=0):
-        super().__init__(selection, seed)
+    def __init__(self):
+        super().__init__()
         self.sets = [LinkedSet()]
         self.pivots = []  # pivots[j] bounds sets[j + 1] below
 
@@ -220,8 +219,7 @@ class ExpHeap(PartitionHeap):
             pivots = self.pivots
             pivots[i - 1] = pivots[i] if i < len(pivots) else TOP
         else:
-            low, high, boundary = split_by_rank(nxt, 1 << (i - 1),
-                                                meter, self._rng)
+            low, high, boundary = split_by_rank(nxt, 1 << (i - 1), meter)
             sets[i - 1] = low
             sets[i] = high
             self.pivots[i - 1] = boundary

@@ -85,14 +85,14 @@ class FHTNGHeap(PartitionHeap):
 
     API: insert(key) -> handle, delete_min(), decrease_key(handle, key),
     with the usual error reporting for empty heaps, dead handles and
-    key increases.  ``selection`` chooses the rank-selection strategy
-    used by the -thru and split operations.
+    key increases.  The -thru and split operations find their rank
+    with deterministic selection.
     '''
 
     kind = 'fhtng'
 
-    def __init__(self, selection='det', seed=0):
-        super().__init__(selection, seed)
+    def __init__(self):
+        super().__init__()
         self.slot_sets = [None] * (_FIRST_SLOT + 1)
         self._ne = []        # sorted indices of nonempty slots
         self._ne_pivs = []   # their pivots, same order
@@ -346,7 +346,7 @@ class FHTNGHeap(PartitionHeap):
         keep = target.size
         self._clear_slot(i)
         target.concat(s, meter)
-        low, high, boundary = split_by_rank(target, keep, meter, self._rng)
+        low, high, boundary = split_by_rank(target, keep, meter)
         self.slot_sets[i + 1] = low
         self._set_pivot(i + 1, low.min_node(meter).key)
         self._set_slot(i + 2, high, boundary)
@@ -371,7 +371,7 @@ class FHTNGHeap(PartitionHeap):
             take = s.size
             upper.concat(s, meter)
             self._clear_slot(i)
-            low, high, boundary = split_by_rank(upper, take, meter, self._rng)
+            low, high, boundary = split_by_rank(upper, take, meter)
             assert high.size == keep
             self.slot_sets[i - 1] = high
             self._set_pivot(i - 1, boundary)
@@ -404,7 +404,7 @@ class FHTNGHeap(PartitionHeap):
         s = self.slot_sets[i]
         a, b = proportional_split_sizes(i, s.size)
         self._clear_slot(i)
-        low, high, boundary = split_by_rank(s, a, meter, self._rng)
+        low, high, boundary = split_by_rank(s, a, meter)
         self._set_slot(i - 2, low, low.min_node(meter).key)
         self._set_slot(i - 1, high, boundary)
         return 'split_up', FIB[i - 6]

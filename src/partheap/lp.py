@@ -29,15 +29,14 @@ class LPHeap(PartitionHeap):
 
     ``insert`` returns a stable handle accepted by ``decrease_key``,
     ``increase_key`` and ``delete``.  delete_min splits at the larger
-    median; ``selection`` picks the rule that finds it: 'det' uses
-    deterministic selection (a sampled bracket with a median-of-medians
-    fallback), 'rand' seeded quickselect.  Both give the same split.
+    median, found by deterministic selection: a sampled bracket with a
+    median-of-medians fallback.
     '''
 
     kind = 'lp'
 
-    def __init__(self, selection='det', seed=0):
-        super().__init__(selection, seed)
+    def __init__(self):
+        super().__init__()
         self.sets = []
         self.pivots = []  # pivots[j] bounds sets[j + 1] below
         self.cached_min = None
@@ -147,47 +146,30 @@ class LPHeap(PartitionHeap):
     def delete(self, node):
         '''Remove an arbitrary live element by handle.'''
         self._check(node, 'delete')
-        meter = self.meter
-        pos = core.pivot_search(self.pivots, node.key, meter)
-        self.sets[pos - 1].remove(node, meter)
+        was_min = self._detach(node)
         node.alive = False
         self.n -= 1
-        was_min = node is self.cached_min
-        self._forget_pivots()
-        if self.n == 0:
-            self.cached_min = None
-        elif was_min:
-            self.cached_min = self.sets[0].min_node(meter)
-        if self.ledger is not None:
-            # no budget and no row: only keep the ledger's phi current
-            self.ledger.phi = (self.potential_phi(),)
+        self._settle(was_min)
 
     def increase_key(self, node, user_key):
         '''Raise the key of a live handle: move it to the set its new
-        key belongs in (same tie-break counter), then sweep once, as
-        delete does, since the move can empty a set or make a pair
-        fire the concat rule.'''
+        key belongs in (same tie-break counter), then settle as delete
+        does, since the move can empty a set or make a pair fire the
+        concat rule.'''
         self._check(node, 'increase_key')
         if not user_key >= node.key[0]:
             raise KeyOrderError('increase_key from %r to smaller %r'
                                 % (node.key[0], user_key))
-        meter = self.meter
-        pos = core.pivot_search(self.pivots, node.key, meter)
-        self.sets[pos - 1].remove(node, meter)
-        was_min = node is self.cached_min
+        was_min = self._detach(node)
         node.key = (user_key, node.key[1])
-        dst_pos = core.pivot_search(self.pivots, node.key, meter)
-        self.sets[dst_pos - 1].append(node, meter)
-        self._forget_pivots()
-        if was_min:
-            self.cached_min = self.sets[0].min_node(meter)
-        if self.ledger is not None:
-            self.ledger.phi = (self.potential_phi(),)  # as in delete
+        pos = core.pivot_search(self.pivots, node.key, self.meter)
+        self.sets[pos - 1].append(node, self.meter)
+        self._settle(was_min)
 
     @classmethod
-    def build(cls, items, selection='det', seed=0):
+    def build(cls, items):
         '''Heap over ``items`` in one shot: everything lands in S_1.'''
-        heap = cls(selection=selection, seed=seed)
+        heap = cls()
         meter = heap.meter
         s = LinkedSet()
         for user_key in items:
@@ -212,14 +194,30 @@ class LPHeap(PartitionHeap):
     # ------------------------------------------------------------------
     # restructuring
 
+    def _detach(self, node):
+        '''Unlink a checked node; return whether it was the cached min.'''
+        pos = core.pivot_search(self.pivots, node.key, self.meter)
+        self.sets[pos - 1].remove(node, self.meter)
+        return node is self.cached_min
+
+    def _settle(self, was_min):
+        '''Sweep once, rescan S_1 if the minimum left it, and keep the
+        ledger's phi current: delete and increase_key record no row.'''
+        self._forget_pivots()
+        if self.n == 0:
+            self.cached_min = None
+        elif was_min:
+            self.cached_min = self.sets[0].min_node(self.meter)
+        if self.ledger is not None:
+            self.ledger.phi = (self.potential_phi(),)
+
     def _split_first(self):
         '''Split the first set at the larger median: its ceil(s/2)
         smallest stay in front and the boundary key becomes a new pivot.
         Returns the number of elements the split touched.'''
         s = self.sets[0]
         size = s.size
-        low, high, pivot = split_by_rank(s, (size + 1) // 2, self.meter,
-                                         self._rng)
+        low, high, pivot = split_by_rank(s, (size + 1) // 2, self.meter)
         self.sets[0:1] = [low, high]
         self.pivots.insert(0, pivot)
         return size

@@ -42,7 +42,7 @@ class OracleHeap:
 
     kind = 'oracle'
 
-    def __init__(self, selection='det', seed=0):
+    def __init__(self):
         self._heap = []
         self._seq = 0
         self.n = 0

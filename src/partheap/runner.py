@@ -4,7 +4,7 @@
 caller built) both replay through ``_replay``, which optionally mirrors
 every op on OracleHeap, audits, and writes one cost row per op: CostMeter
 deltas plus, with --phi, the total potential before and after.
-Replays are deterministic given (trace, impl, seed).
+Replays are deterministic given (trace, impl).
 '''
 
 import csv
@@ -28,13 +28,13 @@ COST_FIELDS = ('op_index', 'op_kind', 'comparisons', 'node_moves',
                'list_links', 'selection_elements', 'phi_before', 'phi_after')
 
 
-def make_heap(impl, select='det', seed=0):
+def make_heap(impl):
     try:
         cls = IMPLS[impl]
     except KeyError:
         raise ValueError('unknown implementation %r (expected %s)'
                          % (impl, ', '.join(sorted(IMPLS))))
-    return cls(selection=select, seed=seed)
+    return cls()
 
 
 class RunResult:
@@ -158,9 +158,8 @@ def _replay(trace, heap, shadow=None, audit_every=0, costs_path=None,
     return result
 
 
-def run_trace(trace, impl='lp', select='det', seed=0, audit_every=0,
-              oracle=False, phi=False, costs_path=None,
-              collect_outputs=False):
+def run_trace(trace, impl='lp', audit_every=0, oracle=False, phi=False,
+              costs_path=None, collect_outputs=False):
     '''Replay ``trace``; return a RunResult.
 
     oracle=True mirrors every operation on OracleHeap and demands
@@ -168,7 +167,7 @@ def run_trace(trace, impl='lp', select='det', seed=0, audit_every=0,
     phi=True attaches a PotentialLedger and runs the exact budget
     checks at the end; costs_path writes the per-op CSV.
     '''
-    heap = make_heap(impl, select, seed)
+    heap = make_heap(impl)
     ledger = attach_ledger(heap) if phi and impl != 'oracle' else None
     shadow = OracleHeap() if oracle and impl != 'oracle' else None
     result = _replay(trace, heap, shadow, audit_every, costs_path,
@@ -194,12 +193,10 @@ def differential_run(trace, heap, audit_every=0):
     return _replay(trace, heap, OracleHeap(), audit_every)
 
 
-def compare_traces(trace, impls=('lp', 'fhtng', 'exp'), select='det',
-                   seed=0):
+def compare_traces(trace, impls=('lp', 'fhtng', 'exp')):
     '''Replay one trace on several implementations; return
     (all_equal, {impl: outputs}).'''
-    results = {impl: run_trace(trace, impl=impl, select=select, seed=seed,
-                               collect_outputs=True).outputs
+    results = {impl: run_trace(trace, impl=impl, collect_outputs=True).outputs
                for impl in impls}
     outputs = list(results.values())
     return all(out == outputs[0] for out in outputs), results

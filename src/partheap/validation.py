@@ -86,17 +86,20 @@ def audit(heap):
 
 
 def _partition(report, parts, n):
-    '''Audit the partition every heap shares and return each part's
-    node count.  ``parts`` is [(label, linked set, lower pivot or None)]
-    in key order.  Each set is scanned; a nonempty one must lie at or
+    '''Audit the partition every heap shares and return two lists: each
+    part's node count and its minimum key (None when it is empty).
+    ``parts`` is [(label, linked set, lower pivot or None)] in key
+    order.  Each set is scanned; a nonempty one must lie at or
     above its own pivot and below the next part's; the pivots must be
     sorted, each set's keys must lie below the next nonempty set's, and
     the parts must hold ``n`` nodes in all.'''
     counts = []
+    lows = []
     prev = None  # (label, max key) of the last nonempty set
     for k, (label, linked_set, pivot) in enumerate(parts):
         count, lo, hi = _scan(report, label, linked_set)
         counts.append(count)
+        lows.append(lo)
         if not count:
             continue
         if pivot is not None and lo < pivot:
@@ -118,7 +121,7 @@ def _partition(report, parts, n):
     if sum(counts) != n:
         report.fail('count', 'sets hold %d elements, heap says %d'
                     % (sum(counts), n))
-    return counts
+    return counts, lows
 
 
 def _sets_partition(report, heap):
@@ -137,10 +140,24 @@ def _sets_partition(report, heap):
 
 
 def _audit_lp(report, heap):
-    sizes = _sets_partition(report, heap)
-    if sizes is None:
+    found = _sets_partition(report, heap)
+    if found is None:
         return
+    sizes, lows = found
     n = heap.n
+    # find_min and delete_min trust cached_min: it is None exactly on
+    # an empty heap, and otherwise S_1's live minimum.  Only ``is`` and
+    # ``==`` here, so the check makes no counted comparison.
+    cached = heap.cached_min
+    low = lows[0] if lows else None
+    if cached is None:
+        fine = n == 0
+    else:
+        fine = (n > 0 and cached.alive and cached.owner is heap
+                and cached.key == low)
+    if not fine:
+        report.fail('cached-min', 'cached %r but min S_1 = %r'
+                    % (cached, low))
     ell = len(sizes)
     if n >= 1 and (1 << (ell - 1)) > n * n:
         report.fail('set-count', 'l = %d exceeds 2 lg %d + 1' % (ell, n))
@@ -177,9 +194,9 @@ def _audit_fhtng(report, heap):
         report.fail('index', 'nonempty index %r with %d pivots but slots %r'
                     % (ne, len(heap._ne_pivs), occupied))
         return
-    counts = _partition(report, [('slot %d' % i, heap.slot_sets[i], pivot)
-                                 for i, pivot in zip(ne, heap._ne_pivs)],
-                        heap.n)
+    counts, _ = _partition(report, [('slot %d' % i, heap.slot_sets[i], pivot)
+                                    for i, pivot in zip(ne, heap._ne_pivs)],
+                           heap.n)
     prev = None
     run = 0
     for i, count in zip(ne, counts):
@@ -204,9 +221,10 @@ def _audit_fhtng(report, heap):
 
 
 def _audit_exp(report, heap):
-    counts = _sets_partition(report, heap)
-    if counts is None:
+    found = _sets_partition(report, heap)
+    if found is None:
         return
+    counts = found[0]
     for i, count in enumerate(counts, start=1):
         if count >= 3 << i:
             report.fail('size-bound', 'S_%d holds %d, bound %d'

@@ -23,10 +23,10 @@ def _fill(linked_set, heap, base, count):
     return keys
 
 
-def make_lp_state(sizes, selection='det', seed=0):
+def make_lp_state(sizes):
     '''LPHeap holding len(sizes) sets of the given sizes (zeros allowed),
     with pivots at each later block's base key.'''
-    heap = LPHeap(selection=selection, seed=seed)
+    heap = LPHeap()
     for j, size in enumerate(sizes):
         s = LinkedSet()
         _fill(s, heap, (j + 1) * BLOCK, size)
@@ -40,9 +40,9 @@ def make_lp_state(sizes, selection='det', seed=0):
     return heap
 
 
-def make_fhtng_state(slot_sizes, selection='det', seed=0):
+def make_fhtng_state(slot_sizes):
     '''FHTNGHeap with the given {slot_index: size} occupancy.'''
-    heap = FHTNGHeap(selection=selection, seed=seed)
+    heap = FHTNGHeap()
     for i in sorted(slot_sizes):
         size = slot_sizes[i]
         s = LinkedSet()
@@ -52,10 +52,10 @@ def make_fhtng_state(slot_sizes, selection='det', seed=0):
     return heap
 
 
-def make_exp_state(sizes, selection='det', seed=0):
+def make_exp_state(sizes):
     '''ExpHeap with len(sizes) levels of the given sizes, laid out as
     make_lp_state lays out LPHeap.'''
-    heap = ExpHeap(selection=selection, seed=seed)
+    heap = ExpHeap()
     heap.sets = []
     for j, size in enumerate(sizes):
         s = LinkedSet()
@@ -86,7 +86,7 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def lockstep_with_oracle(seed, selection='det', build=False):
+def lockstep_with_oracle(seed, build=False):
     '''Drive LPHeap and OracleHeap through 400 seeded random ops: insert,
     delete_min, decrease_key, delete and increase_key, including calls
     on dead handles and keys that break the order rule (NaN too).  LP
@@ -101,10 +101,10 @@ def lockstep_with_oracle(seed, selection='det', build=False):
     ref = OracleHeap()
     refs = [ref.insert(k) for k in keys]
     if build:
-        lp = LPHeap.build(keys, selection=selection, seed=seed)
+        lp = LPHeap.build(keys)
         nodes = list(lp.sets[0].iter_nodes()) if lp.sets else []
     else:
-        lp = LPHeap(selection=selection, seed=seed)
+        lp = LPHeap()
         nodes = [lp.insert(k) for k in keys]
     pairs = list(zip(nodes, refs))
     for i in range(400):

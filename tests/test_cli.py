@@ -94,7 +94,7 @@ from conftest import lockstep_with_oracle
 if __debug__:
     raise SystemExit('asserts still enabled')
 for build in (False, True):
-    diff = lockstep_with_oracle(0, 'det', build)
+    diff = lockstep_with_oracle(0, build)
     if diff is not None:
         print(build, diff)
 ''' % os.path.dirname(os.path.abspath(__file__))
@@ -262,12 +262,10 @@ class TestCli:
         assert main(['run', str(trace), '--impl', 'lp', '--phi']) == 0
         assert 'potential budgets' in capsys.readouterr().out
 
-    def test_run_lp_rand_phi_passes(self, tmp_path, capsys):
-        trace = self._gen(tmp_path, pattern='sawtooth', ops=4000, seed=0)
-        assert main(['run', str(trace), '--impl', 'lp', '--select', 'rand',
-                     '--phi']) == 0
-
-    def test_run_select_rand(self, tmp_path, capsys):
-        trace = self._gen(tmp_path, ops=500, seed=6)
-        assert main(['run', str(trace), '--impl', 'lp', '--select', 'rand',
-                     '--seed', '11', '--oracle']) == 0
+    @pytest.mark.parametrize('flag', [['--select', 'rand'], ['--seed', '1']])
+    @pytest.mark.parametrize('command', ['run', 'compare'])
+    def test_replay_takes_no_select_or_seed(self, tmp_path, command, flag):
+        # every heap has one selection rule; only gen takes a seed
+        trace = self._gen(tmp_path, ops=10)
+        with pytest.raises(SystemExit):
+            main([command, str(trace)] + flag)

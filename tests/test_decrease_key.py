@@ -191,12 +191,11 @@ def lockstep_trace(steps):
 
 
 @pytest.mark.parametrize('kind', HEAPS)
-@pytest.mark.parametrize('select', ('det', 'rand'))
 @settings(max_examples=60, deadline=None)
 @given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 255),
                                 st.integers(0, 4)), max_size=400))
-def test_small_decrements_lockstep_with_oracle(kind, select, steps):
-    heap = make_heap(kind, select)
+def test_small_decrements_lockstep_with_oracle(kind, steps):
+    heap = make_heap(kind)
     ledger = attach_ledger(heap)
     res = differential_run(lockstep_trace(steps), heap, audit_every=1)
     assert res.ok, (res.fail_op, res.reason)

@@ -257,11 +257,3 @@ class TestAuditsThroughMixes:
             if step % 16 == 0:
                 report = audit(h)
                 assert report.passed, (step, report)
-
-    def test_randomized_selection_mode(self):
-        rng = random.Random(11)
-        keys = [rng.randrange(1 << 20) for _ in range(500)]
-        h = ExpHeap(selection='rand', seed=23)
-        for k in keys:
-            h.insert(k)
-        assert drain(h) == sorted(keys)

@@ -383,12 +383,11 @@ class TestAtRest:
     '''Every public operation leaves no violation behind.  Restoration
     relies on this to test only the slot an operation resized.'''
 
-    @pytest.mark.parametrize('selection', ['det', 'rand'])
-    def test_no_violation_after_any_operation(self, selection):
+    def test_no_violation_after_any_operation(self):
         fired = set()
         for pattern, ops in (('sawtooth', 20000), ('adversarial-dk', 4000),
                              ('random', 4000), ('dijkstra-like', 4000)):
-            h = FHTNGHeap(selection=selection)
+            h = FHTNGHeap()
             led = attach_ledger(h)
             handles = []
             for step, op in enumerate(gen(pattern, ops, 0).ops):

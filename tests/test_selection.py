@@ -6,7 +6,8 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from partheap import CostMeter, LinkedSet, Node, select_rank, split_by_rank
+from partheap import (CostMeter, LinkedSet, Node, mom_select, quickselect,
+                      select_rank, split_by_rank)
 from partheap.selection import _SAMPLE, select
 
 
@@ -173,6 +174,16 @@ class TestSelectRankRandomized:
         r = data.draw(st.integers(1, len(keys)))
         rng = random.Random(seed)
         assert select_rank(fill(keys), r, rng=rng) == sorted(keys)[r - 1]
+
+    @given(st.lists(st.integers(), min_size=1, max_size=200),
+           st.integers(0, 999), st.data())
+    def test_named_rules_match_sort_oracle(self, keys, seed, data):
+        # no heap calls these entry points, so check them directly
+        k = data.draw(st.integers(0, len(keys) - 1))
+        want = sorted(keys)[k]
+        assert select(list(keys), k, None, random.Random(seed)) == want
+        assert quickselect(list(keys), k, random.Random(seed)) == want
+        assert mom_select(list(keys), k) == want
 
 
 class TestSplitByRank:

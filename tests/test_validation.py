@@ -14,6 +14,48 @@ from partheap import (DeadHandleError, EmptyHeapError, ExpHeap,
 from partheap.potential import PotRow, current_phi
 
 
+def live_keys(trace):
+    '''The user keys a valid trace leaves live, sorted: each delete_min
+    takes the smallest (key, handle) pair.'''
+    keys = []
+    live = set()
+    for op in trace.ops:
+        if op[0] == 'i':
+            live.add(len(keys))
+            keys.append(op[1])
+        elif op[0] == 'd':
+            live.remove(min(live, key=lambda h: (keys[h], h)))
+        else:
+            keys[op[1]] = op[2]
+    return sorted(keys[h] for h in live)
+
+
+class Boom(Exception):
+    '''A raising key's comparison after its fuse burnt out.'''
+
+
+def raising_keys(values):
+    '''Keys with the given distinct int values, and a one-item list
+    ``fuse``.  Once ``fuse[0]`` is set to a count, ``<`` raises Boom
+    after that many more ordering comparisons; None never raises.'''
+    fuse = [None]
+
+    class Key:
+        __slots__ = ('v',)
+
+        def __init__(self, v):
+            self.v = v
+
+        def __lt__(self, other):
+            if fuse[0] is not None:
+                fuse[0] -= 1
+                if fuse[0] < 0:
+                    raise Boom()
+            return self.v < other.v
+
+    return [Key(v) for v in values], fuse
+
+
 class TestOracleHeap:
 
     def test_insert_drain_sorts(self):
@@ -183,6 +225,7 @@ class TestDifferentialRun:
         trace = gen(pattern, 2000, seed=3)
         res = differential_run(trace, impl(), audit_every=64)
         assert res.ok, res
+        assert drain(res.heap) == live_keys(trace)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from('iidk'),
@@ -216,23 +259,6 @@ class TestDifferentialRun:
             res = differential_run(trace, heap, audit_every=25)
             assert res.ok, (impl.__name__, res)
             assert audit(heap).passed
-
-    def test_deterministic_given_trace_and_seed(self):
-        trace = gen('random', 500, seed=8)
-        outs = []
-        for _ in range(2):
-            h = LPHeap(selection='rand', seed=5)
-            handles = []
-            out = []
-            for op in trace.ops:
-                if op[0] == 'i':
-                    handles.append(h.insert(op[1]))
-                elif op[0] == 'd':
-                    out.append(h.delete_min())
-                else:
-                    h.decrease_key(handles[op[1]], op[2])
-            outs.append(out)
-        assert outs[0] == outs[1]
 
 
 class TestAudit:
@@ -299,6 +325,62 @@ class TestAudit:
         node.key = (1, node.key[1])  # now below the first set's keys
         report = audit(h)
         assert not report.passed
+
+    @pytest.mark.parametrize('how', ['dead', 'stale', 'not-min', 'foreign',
+                                     'none', 'on-empty'])
+    def test_lp_cached_min_checked(self, how):
+        # find_min and delete_min trust cached_min, so the audit checks
+        # that it is S_1's live minimum and that only an empty heap
+        # has none
+        h = make_lp_state([3, 4])
+        s1 = h.sets[0]
+        if how == 'dead':
+            # the minimum left the heap but is still cached
+            s1.remove(h.cached_min)
+            h.cached_min.alive = False
+            h.n -= 1
+        elif how == 'stale':
+            h.cached_min = h.sets[1].first
+        elif how == 'not-min':
+            h.cached_min = s1.last
+        elif how == 'foreign':
+            h.cached_min = make_lp_state([3, 4]).cached_min
+        elif how == 'none':
+            h.cached_min = None
+        else:
+            h = LPHeap()
+            h.cached_min = make_lp_state([1]).cached_min
+        report = audit(h)
+        assert [check for check, _ in report.failures] == ['cached-min']
+
+    @pytest.mark.parametrize('impl', [LPHeap, FHTNGHeap, ExpHeap])
+    def test_raising_comparison_never_silent(self, impl):
+        # a comparison that raises inside delete_min may leave the heap
+        # broken, but never silently: the audit fails, or the heap
+        # drains the live keys, with or without the minimum
+        raised = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            values = rng.sample(range(1 << 20), 300)
+            keys, fuse = raising_keys(values)
+            h = impl()
+            for key in keys:
+                h.insert(key)
+            for _ in range(50):
+                h.delete_min()
+            fuse[0] = rng.randrange(1, 60)
+            try:
+                h.delete_min()
+            except Boom:
+                raised += 1
+            else:
+                continue
+            fuse[0] = None
+            if not audit(h).passed:
+                continue
+            live = sorted(values)[50:]
+            assert [key.v for key in drain(h)] in (live, live[1:]), seed
+        assert raised >= 30
 
     @pytest.mark.parametrize('kind', ('lp', 'fhtng', 'exp'))
     def test_set_above_next_pivot_detected(self, kind):
@@ -549,11 +631,10 @@ class TestLedgerPhi:
             expected += sum(1 for op in trace.ops if op[0] == 'k')
         assert calls[0] == expected
 
-    @pytest.mark.parametrize('select', ['det', 'rand'])
     @pytest.mark.parametrize('pattern', PATTERNS)
     @pytest.mark.parametrize('impl', sorted(HEAPS))
-    def test_phi_current_after_every_op(self, impl, pattern, select):
-        h = HEAPS[impl](selection=select, seed=5)
+    def test_phi_current_after_every_op(self, impl, pattern):
+        h = HEAPS[impl]()
         led = attach_ledger(h)
         handles = []
         for op in gen(pattern, 600, 1).ops:
