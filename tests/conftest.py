@@ -5,12 +5,19 @@ The fabricators bypass the public API so tests can start from exact
 set layouts (sizes, slot occupancy) with consistent keys and pivots:
 each set receives a contiguous block of integer keys, and pivots sit
 at each block's first key.
+
+``split_rule`` runs the partition heaps with the library's randomized
+selection rule in place of their own deterministic one.
 '''
 
+import contextlib
 import random
 
+import partheap.exp
+import partheap.fhtng
+import partheap.lp
 from partheap import (ExpHeap, FHTNGHeap, HeapError, LinkedSet, LPHeap,
-                      OracleHeap, audit)
+                      OracleHeap, audit, split_by_rank)
 
 BLOCK = 1000  # key block per set; sets stay far apart
 
@@ -65,6 +72,35 @@ def make_exp_state(sizes):
             heap.pivots.append(((j + 1) * BLOCK, -1))
         heap.n += size
     return heap
+
+
+@contextlib.contextmanager
+def randomized_splits(rng):
+    '''Within the block LPHeap, FHTNGHeap and ExpHeap find each split
+    key with seeded quickselect, ``split_by_rank(..., rng)``, instead of
+    deterministic selection.  Both rules find the same key, so only the
+    meter's comparison and selection counts may differ.'''
+    def split(linked_set, r, meter=None):
+        return split_by_rank(linked_set, r, meter, rng)
+
+    modules = (partheap.lp, partheap.fhtng, partheap.exp)
+    saved = [module.split_by_rank for module in modules]
+    for module in modules:
+        module.split_by_rank = split
+    try:
+        yield
+    finally:
+        for module, fn in zip(modules, saved):
+            module.split_by_rank = fn
+
+
+def split_rule(select, seed=0):
+    '''Context that runs the heaps under selection rule ``select``:
+    'det' is their own rule, 'rand' is randomized_splits seeded with
+    ``seed``.'''
+    if select == 'det':
+        return contextlib.nullcontext()
+    return randomized_splits(random.Random(seed))
 
 
 def drain(heap):

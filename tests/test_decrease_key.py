@@ -11,7 +11,8 @@ charged exactly the comparisons that place it.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_exp_state, make_fhtng_state, make_lp_state
+from conftest import (make_exp_state, make_fhtng_state, make_lp_state,
+                      split_rule)
 from partheap import (CostMeter, Trace, attach_ledger, audit, differential_run,
                       lemma_check, make_heap, pivot_search)
 from partheap.exp import TOP
@@ -191,12 +192,14 @@ def lockstep_trace(steps):
 
 
 @pytest.mark.parametrize('kind', HEAPS)
+@pytest.mark.parametrize('select', ('det', 'rand'))
 @settings(max_examples=60, deadline=None)
 @given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 255),
                                 st.integers(0, 4)), max_size=400))
-def test_small_decrements_lockstep_with_oracle(kind, steps):
+def test_small_decrements_lockstep_with_oracle(kind, select, steps):
     heap = make_heap(kind)
     ledger = attach_ledger(heap)
-    res = differential_run(lockstep_trace(steps), heap, audit_every=1)
+    with split_rule(select):
+        res = differential_run(lockstep_trace(steps), heap, audit_every=1)
     assert res.ok, (res.fail_op, res.reason)
     assert lemma_check(ledger).sharp_passed

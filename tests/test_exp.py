@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import drain, keys_of, make_exp_state
+from conftest import drain, keys_of, make_exp_state, split_rule
 from partheap import (EmptyHeapError, ExpHeap, KeyOrderError,
                       attach_ledger, audit, lemma_check)
 
@@ -257,3 +257,12 @@ class TestAuditsThroughMixes:
             if step % 16 == 0:
                 report = audit(h)
                 assert report.passed, (step, report)
+
+    def test_randomized_selection_mode(self):
+        rng = random.Random(11)
+        keys = [rng.randrange(1 << 20) for _ in range(500)]
+        h = ExpHeap()
+        with split_rule('rand', seed=23):
+            for k in keys:
+                h.insert(k)
+            assert drain(h) == sorted(keys)

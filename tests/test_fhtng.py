@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import drain, keys_of, make_fhtng_state
+from conftest import drain, keys_of, make_fhtng_state, split_rule
 from partheap import (EmptyHeapError, FHTNGHeap, FIB, KeyOrderError,
                       attach_ledger, audit, gen, lemma_check)
 from partheap.fhtng import proportional_split_sizes
@@ -383,23 +383,25 @@ class TestAtRest:
     '''Every public operation leaves no violation behind.  Restoration
     relies on this to test only the slot an operation resized.'''
 
-    def test_no_violation_after_any_operation(self):
+    @pytest.mark.parametrize('selection', ['det', 'rand'])
+    def test_no_violation_after_any_operation(self, selection):
         fired = set()
         for pattern, ops in (('sawtooth', 20000), ('adversarial-dk', 4000),
                              ('random', 4000), ('dijkstra-like', 4000)):
             h = FHTNGHeap()
             led = attach_ledger(h)
             handles = []
-            for step, op in enumerate(gen(pattern, ops, 0).ops):
-                if op[0] == 'i':
-                    handles.append(h.insert(op[1]))
-                elif op[0] == 'd':
-                    h.delete_min()
-                else:
-                    h.decrease_key(handles[op[1]], op[2])
-                assert h._find_violation() is None, (pattern, step)
-                if step % 500 == 0:
-                    assert audit(h).passed, (pattern, step)
+            with split_rule(selection):
+                for step, op in enumerate(gen(pattern, ops, 0).ops):
+                    if op[0] == 'i':
+                        handles.append(h.insert(op[1]))
+                    elif op[0] == 'd':
+                        h.delete_min()
+                    else:
+                        h.decrease_key(handles[op[1]], op[2])
+                    assert h._find_violation() is None, (pattern, step)
+                    if step % 500 == 0:
+                        assert audit(h).passed, (pattern, step)
             assert audit(h).passed, pattern
             fired.update(row.op for row in led.rows)
         assert fired >= {'overflow_down', 'overflow_thru', 'underflow_up',

@@ -4,10 +4,14 @@ For every heap and main trace pattern (seed 0, 4,000 ops) the file
 ``fingerprint.json`` pins the sha256 of the collected outputs, the final
 meter snapshot, the sha256 of the per-op costs CSV written with potential
 tracking on, the sha256 of every potential ledger row (op, a, b, nominal,
-before, after) and the repr of the potential budget verdict, under
-``<impl>/<pattern>``.  A refactor must pass this test with the file
-unchanged.  A change that means to
-alter outputs or the cost model rewrites the file with
+before, after) and the repr of the potential budget verdict.  The three
+partition heaps are pinned under ``<impl>/<pattern>`` with their own
+deterministic selection, and under ``<impl>/<pattern>/rand`` with the
+library's seeded quickselect finding each split (conftest.split_rule).
+Both rules split at the same keys, so only the meter and the costs
+differ between the two.  A refactor must pass this test with the file
+unchanged.  A change that means to alter outputs or the cost model
+rewrites the file with
 
     PYTHONPATH=src python tests/test_fingerprint.py
 
@@ -28,33 +32,40 @@ import tempfile
 
 import pytest
 
+from conftest import split_rule
 from partheap import gen, run_trace
 
 IMPLS = ('lp', 'fhtng', 'exp', 'oracle')
 PATTERNS = ('random', 'dijkstra-like', 'sawtooth', 'adversarial-dk')
 OPS = 4000
 SEED = 0
+RAND_IMPLS = ('lp', 'fhtng', 'exp')
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     'fingerprint.json')
 
 
-CASES = [(impl, pattern) for impl in IMPLS for pattern in PATTERNS]
+CASES = ([(impl, pattern, 'det') for impl in IMPLS for pattern in PATTERNS]
+         + [(impl, pattern, 'rand') for impl in RAND_IMPLS
+            for pattern in PATTERNS])
 
 
-def case_name(impl, pattern):
-    return '%s/%s' % (impl, pattern)
+def case_name(impl, pattern, select):
+    name = '%s/%s' % (impl, pattern)
+    return name if select == 'det' else '%s/%s' % (name, select)
 
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def fingerprint(impl, pattern, costs_path):
+def fingerprint(impl, pattern, select, costs_path):
     trace = gen(pattern, OPS, SEED)
-    res = run_trace(trace, impl=impl, collect_outputs=True)
+    with split_rule(select):
+        res = run_trace(trace, impl=impl, collect_outputs=True)
     outputs = sha256(repr(res.outputs))
     meter = list(res.heap.meter.snapshot())
-    res = run_trace(trace, impl=impl, phi=True, costs_path=costs_path)
+    with split_rule(select):
+        res = run_trace(trace, impl=impl, phi=True, costs_path=costs_path)
     with open(costs_path, 'rb') as fh:
         costs = hashlib.sha256(fh.read()).hexdigest()
     rows = res.ledger.rows if res.ledger is not None else []
@@ -65,13 +76,13 @@ def fingerprint(impl, pattern, costs_path):
             'lemma': repr(res.lemma)}
 
 
-@pytest.mark.parametrize('impl,pattern', CASES,
+@pytest.mark.parametrize('impl,pattern,select', CASES,
                          ids=[case_name(*c).replace('/', '-') for c in CASES])
-def test_fingerprint_unchanged(impl, pattern, tmp_path):
+def test_fingerprint_unchanged(impl, pattern, select, tmp_path):
     with open(PATH) as fh:
         golden = json.load(fh)
-    got = fingerprint(impl, pattern, str(tmp_path / 'costs.csv'))
-    assert got == golden[case_name(impl, pattern)]
+    got = fingerprint(impl, pattern, select, str(tmp_path / 'costs.csv'))
+    assert got == golden[case_name(impl, pattern, select)]
 
 
 def write_golden():

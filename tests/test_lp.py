@@ -1,13 +1,15 @@
 '''Lazy-partition heap behavior, invariants, and amortization budgets.'''
 
+import contextlib
 import math
 import random
 
 import pytest
 
-from conftest import drain, keys_of, lockstep_with_oracle, make_lp_state
+from conftest import (drain, keys_of, lockstep_with_oracle, make_lp_state,
+                      randomized_splits, split_rule)
 from partheap import (EmptyHeapError, KeyOrderError, LPHeap, attach_ledger,
-                      audit, lemma_check)
+                      audit, gen, lemma_check, run_trace)
 
 
 class TestInsert:
@@ -373,6 +375,66 @@ class TestAmortizedDeleteMinCost:
 class TestLockstepWithOracle:
 
     @pytest.mark.parametrize('build', [False, True], ids=['insert', 'build'])
+    @pytest.mark.parametrize('selection', ['det', 'rand'])
     @pytest.mark.parametrize('seed', range(5))
-    def test_all_five_ops_agree(self, seed, build):
-        assert lockstep_with_oracle(seed, build) is None
+    def test_all_five_ops_agree(self, seed, selection, build):
+        with split_rule(selection, seed):
+            assert lockstep_with_oracle(seed, build) is None
+
+
+class TestRandomizedSelection:
+    '''LPHeap with seeded quickselect finding the larger median.'''
+
+    def test_drain_sorted_and_audited(self):
+        rng = random.Random(8)
+        keys = [rng.randrange(1 << 20) for _ in range(400)]
+        h = LPHeap()
+        with split_rule('rand', seed=17):
+            for k in keys:
+                h.insert(k)
+            out = []
+            while h.n:
+                out.append(h.delete_min())
+                assert audit(h).passed
+        assert out == sorted(keys)
+
+    def test_split_leaves_both_sides_nonempty(self):
+        h = LPHeap()
+        with split_rule('rand', seed=3):
+            for k in range(64):
+                h.insert(k)
+            h.delete_min()
+        assert len(h.sets) == 2
+        assert h.sets[0].size >= 1
+        assert h.sets[1].size >= 1
+
+    def test_lockstep_with_det(self):
+        # both rules split at the larger median, so the set layout and
+        # the moves and links stay those of det after every op
+        for pattern in ('dijkstra-like', 'sawtooth'):
+            heaps = [LPHeap() for _ in range(3)]
+            rngs = [None, random.Random(5), random.Random(6)]
+            handles = [[] for _ in heaps]
+            for i, op in enumerate(gen(pattern, 1500, seed=5).ops):
+                for h, rng, hs in zip(heaps, rngs, handles):
+                    with (randomized_splits(rng) if rng
+                          else contextlib.nullcontext()):
+                        if op[0] == 'i':
+                            hs.append(h.insert(op[1]))
+                        elif op[0] == 'd':
+                            h.delete_min()
+                        else:
+                            h.decrease_key(hs[op[1]], op[2])
+                shapes = {(tuple(s.size for s in h.sets), h.meter.node_moves,
+                           h.meter.list_links) for h in heaps}
+                assert len(shapes) == 1, (pattern, i)
+
+    @pytest.mark.parametrize('pattern', ['random', 'dijkstra-like',
+                                         'sawtooth', 'adversarial-dk'])
+    def test_budgets_hold(self, pattern):
+        with split_rule('rand'):
+            res = run_trace(gen(pattern, 4000, seed=0), impl='lp',
+                            oracle=True, audit_every=1, phi=True)
+        assert res.ok, res
+        assert res.lemma.passed, res.lemma.violations[:3]
+        assert res.lemma.sharp_passed, res.lemma.sharp_violations[:3]

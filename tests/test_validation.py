@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import drain, make_exp_state, make_fhtng_state, make_lp_state
+from conftest import (drain, make_exp_state, make_fhtng_state, make_lp_state,
+                      split_rule)
 from partheap import (DeadHandleError, EmptyHeapError, ExpHeap,
                       FHTNGHeap, ForeignHandleError, KeyOrderError, LPHeap,
                       OracleHeap, PATTERNS, PotentialLedger, Trace,
@@ -259,6 +260,24 @@ class TestDifferentialRun:
             res = differential_run(trace, heap, audit_every=25)
             assert res.ok, (impl.__name__, res)
             assert audit(heap).passed
+
+    def test_deterministic_given_trace_and_seed(self):
+        trace = gen('random', 500, seed=8)
+        outs = []
+        for _ in range(2):
+            h = LPHeap()
+            handles = []
+            out = []
+            with split_rule('rand', seed=5):
+                for op in trace.ops:
+                    if op[0] == 'i':
+                        handles.append(h.insert(op[1]))
+                    elif op[0] == 'd':
+                        out.append(h.delete_min())
+                    else:
+                        h.decrease_key(handles[op[1]], op[2])
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestAudit:
@@ -631,17 +650,19 @@ class TestLedgerPhi:
             expected += sum(1 for op in trace.ops if op[0] == 'k')
         assert calls[0] == expected
 
+    @pytest.mark.parametrize('select', ['det', 'rand'])
     @pytest.mark.parametrize('pattern', PATTERNS)
     @pytest.mark.parametrize('impl', sorted(HEAPS))
-    def test_phi_current_after_every_op(self, impl, pattern):
+    def test_phi_current_after_every_op(self, impl, pattern, select):
         h = HEAPS[impl]()
         led = attach_ledger(h)
         handles = []
-        for op in gen(pattern, 600, 1).ops:
-            if op[0] == 'i':
-                handles.append(h.insert(op[1]))
-            elif op[0] == 'd':
-                h.delete_min()
-            else:
-                h.decrease_key(handles[op[1]], op[2])
-            assert led.phi == current_phi(h)
+        with split_rule(select, seed=5):
+            for op in gen(pattern, 600, 1).ops:
+                if op[0] == 'i':
+                    handles.append(h.insert(op[1]))
+                elif op[0] == 'd':
+                    h.delete_min()
+                else:
+                    h.decrease_key(handles[op[1]], op[2])
+                assert led.phi == current_phi(h)
