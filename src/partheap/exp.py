@@ -29,14 +29,8 @@ class _Top:
     def __lt__(self, other):
         return False
 
-    def __le__(self, other):
-        return other is TOP
-
     def __gt__(self, other):
         return other is not TOP
-
-    def __ge__(self, other):
-        return True
 
     def __repr__(self):
         return 'TOP'
@@ -165,31 +159,29 @@ class ExpHeap(PartitionHeap):
 
     def _push_from(self, i):
         '''Push the full set at level i downward; each level either
-        absorbs the arriving set, or is displaced and pushed further.'''
+        absorbs the arriving set, or is displaced and pushed further.
+        All minima come before the first write, so a raising key
+        comparison leaves every set and pivot as it was.'''
         meter = self.meter
         led = self.ledger
         sets = self.sets
-        pivots = self.pivots
-        moving = sets[i - 1]
-        sets[i - 1] = LinkedSet()
-        moving_min = moving.min_node(meter).key
-        j = i + 1
+        minima = []  # of the sets moving from levels i..j-1 to i+1..j
+        j = i
         while True:
-            assert (1 << (j - 1)) <= moving.size <= (3 << (j - 1))
-            if j > len(sets):
-                sets.append(moving)
-                pivots.append(moving_min)
-                break
-            target = sets[j - 1]
-            if target.size < (1 << j):
-                target.concat(moving, meter)
-                pivots[j - 2] = moving_min
-                break
-            sets[j - 1] = moving
-            pivots[j - 2] = moving_min
-            moving = target
-            moving_min = moving.min_node(meter).key
+            moving = sets[j - 1]
+            assert (1 << j) <= moving.size <= (3 << j)
+            minima.append(moving.min_node(meter).key)
             j += 1
+            if j > len(sets) or sets[j - 1].size < (1 << j):
+                break
+        moved = sets[i - 1:j - 1]
+        if j > len(sets):
+            sets.append(moved[-1])
+        else:
+            sets[j - 1].concat(moved[-1], meter)
+        sets[i:j - 1] = moved[:-1]
+        sets[i - 1] = LinkedSet()
+        self.pivots[i - 1:j - 1] = minima
         if led is not None:
             led.record('push', a=i, b=j, after=self.potential())
 

@@ -1,10 +1,10 @@
 '''Lazy-partition heap.
 
 Elements live in unordered sets S_1..S_l separated by pivots; only
-delete_min restructures.  It removes the minimum from S_1, splits what
-remains of S_1 at the larger median, then runs a pivot-forgetting pass
-that concatenates any adjacent pair of sets holding fewer elements
-together than the number of elements before them.  That single rule
+delete_min restructures.  It removes the minimum from S_1, runs a
+pivot-forgetting pass that concatenates any adjacent pair of sets
+holding fewer elements together than the number of elements before
+them, then splits the front set at the larger median.  That single rule
 keeps l <= 2*lg(n) + 1, so the binary search done by insert and
 decrease_key costs O(lg lg n) comparisons.  A decrease_key whose new
 key is still at or above its set's lower pivot leaves the node where
@@ -97,22 +97,17 @@ class LPHeap(PartitionHeap):
         s1.remove(node, meter)
         node.alive = False
         self.n -= 1
-        emptied = s1.size == 0
-        if s1.size >= 2:
-            touches += self._split_first()
         self._forget_pivots()
-        if emptied and self.sets and self.sets[0].size >= 2:
-            # S_1 vanished and another set moved to the front.  Partition
-            # it as well: the potential it releases pays for the minimum
-            # rescan below, which would otherwise be uncovered.  No second
-            # sweep: see _forget_pivots.
+        if self.sets and self.sets[0].size >= 2:
+            # split the front set, S_1 or the set that replaced an
+            # emptied S_1: the potential it releases pays for the
+            # minimum rescan below
             touches += self._split_first()
         self.last_delete_min_touches = touches
         if self.n == 0:
             self.cached_min = None
         else:
             self.cached_min = self.sets[0].min_node(meter)
-        self._fresh_partition = True
         if led is not None:
             led.record('delete_min', a=s1_before, b=ell_before,
                        after=(self.potential_phi(),))
@@ -228,14 +223,16 @@ class LPHeap(PartitionHeap):
         set keeps absorbing successors until the rule no longer fires.
         O(l) plus O(1) per concatenation.
 
-        One sweep leaves no adjacent pair that satisfies the rule, and
-        a larger-median split of the front set afterwards cannot make
-        one fire, so delete_min never sweeps twice.  The split turns
-        S_1 (s elements) into low (ceil(s/2)) and high (floor(s/2)).
-        The pair (low, high) has prefix 0.  The pair (high, S_2) has
-        prefix |low| and high + |S_2| >= low, since S_2 is nonempty
-        and low exceeds high by at most one.  Every later pair keeps
-        its sizes and its prefix, which still counts all s elements.
+        delete_min sweeps before it splits the front set, and gets the
+        sets that splitting first and then sweeping would give.  The
+        pair (S_1, S_2) has prefix 0, so it never fires.  Every later
+        pair sees the same prefix whether S_1 is split or not.  And the
+        split cannot make a pair fire: it turns S_1 (s elements) into
+        low (ceil(s/2)) and high (floor(s/2)); the pair (low, high) has
+        prefix 0, and the pair (high, S_2) has prefix |low| with
+        high + |S_2| >= low, since S_2 is nonempty and low exceeds high
+        by at most one.  A split after the sweep leaves no pair that
+        satisfies the rule, so one sweep is enough.
         '''
         sets = self.sets
         pivots = self.pivots

@@ -62,6 +62,17 @@ class RunResult:
         return 'RunResult(FAIL at op %s: %s)' % (self.fail_op, self.reason)
 
 
+def _outcome(target, handles, op):
+    '''Run a delete_min or decrease_key ``op`` on ``target``; return
+    ('ok', result), or the class name of the HeapError raised and None.'''
+    try:
+        if op[0] == 'd':
+            return ('ok', target.delete_min())
+        return ('ok', target.decrease_key(handles[op[1]], op[2]))
+    except HeapError as exc:
+        return (type(exc).__name__, None)
+
+
 def _replay(trace, heap, shadow=None, audit_every=0, costs_path=None,
             collect_outputs=False):
     '''The replay loop behind run_trace and differential_run.
@@ -81,9 +92,6 @@ def _replay(trace, heap, shadow=None, audit_every=0, costs_path=None,
         audit_every = 0
     handles = []
     mirrors = []
-    targets = [(heap, handles)]
-    if shadow is not None:
-        targets.append((shadow, mirrors))
     meter = heap.meter
     led = getattr(heap, 'ledger', None)  # the oracle has none
     fh = writer = None
@@ -107,28 +115,18 @@ def _replay(trace, heap, shadow=None, audit_every=0, costs_path=None,
                     kind = 'delete_min'
                 else:
                     kind = 'decrease_key'
-                    hid = op[1]
-                    if not 0 <= hid < len(handles):
+                    if not 0 <= op[1] < len(handles):
                         raise ValueError('op %d references unknown handle %d'
-                                         % (idx, hid))
-                outcomes = []
-                for target, refs in targets:
-                    try:
-                        if tag == 'd':
-                            outcome = ('ok', target.delete_min())
-                        else:
-                            outcome = ('ok', target.decrease_key(refs[hid],
-                                                                 op[2]))
-                    except HeapError as exc:
-                        outcome = (type(exc).__name__, None)
-                    outcomes.append(outcome)
-                got = outcomes[0]
+                                         % (idx, op[1]))
+                got = _outcome(heap, handles, op)
                 if outputs is not None and tag == 'd':
                     outputs.append(got)
-                if shadow is not None and got != outcomes[1]:
-                    result.fail(idx, '%s %r vs oracle %r'
-                                % (kind, got, outcomes[1]))
-                    break
+                if shadow is not None:
+                    want = _outcome(shadow, mirrors, op)
+                    if got != want:
+                        result.fail(idx, '%s %r vs oracle %r'
+                                    % (kind, got, want))
+                        break
             if find_min is not None and shadow.n:
                 got = find_min()
                 want = shadow.find_min()

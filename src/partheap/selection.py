@@ -168,7 +168,8 @@ def split_by_rank(linked_set, r, meter=None, rng=None):
     input set is left empty.  Node identities are preserved, so handles
     into the original set stay valid.  Keys must be distinct (heap keys
     always are): when the keys at ranks r and r+1 are equal no split
-    exists, and ValueError is raised with the input set as it was.
+    exists, and ValueError is raised with the input set as it was.  A
+    key comparison that raises leaves the input set as it was too.
 
     One pass collects the nodes and their keys; the meter is charged
     what ``select_rank(linked_set, r + 1)`` charges plus ``size`` on
@@ -189,30 +190,33 @@ def split_by_rank(linked_set, r, meter=None, rng=None):
     # list order by writing its links directly, one comparison per node
     lo_first = lo_last = hi_first = hi_last = None
     lo_size = 0
-    for node in nodes:
-        if node.key < pivot:
-            if lo_last is None:
-                lo_first = node
+    try:
+        for node in nodes:
+            if node.key < pivot:
+                if lo_last is None:
+                    lo_first = node
+                else:
+                    lo_last.next = node
+                node.prev = lo_last
+                lo_last = node
+                lo_size += 1
             else:
-                lo_last.next = node
-            node.prev = lo_last
-            lo_last = node
-            lo_size += 1
-        else:
-            if hi_last is None:
-                hi_first = node
-            else:
-                hi_last.next = node
-            node.prev = hi_last
-            hi_last = node
-    if lo_size != r:
-        # relink the input in its original order before refusing
+                if hi_last is None:
+                    hi_first = node
+                else:
+                    hi_last.next = node
+                node.prev = hi_last
+                hi_last = node
+        if lo_size != r:
+            raise ValueError('no split at rank %d: the key there is repeated'
+                             % r)
+    except BaseException:
+        # relink the input in its original order before re-raising
         for a, b in zip(nodes, nodes[1:]):
             a.next = b
             b.prev = a
         nodes[0].prev = nodes[-1].next = None
-        raise ValueError('no split at rank %d: the key there is repeated'
-                         % r)
+        raise
     lo_last.next = hi_last.next = None
     low = LinkedSet()
     low.first, low.last, low.size = lo_first, lo_last, lo_size

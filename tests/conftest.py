@@ -7,7 +7,8 @@ each set receives a contiguous block of integer keys, and pivots sit
 at each block's first key.
 
 ``split_rule`` runs the partition heaps with the library's randomized
-selection rule in place of their own deterministic one.
+selection rule in place of their own deterministic one, and
+``raising_keys`` makes keys whose comparison raises after a set count.
 '''
 
 import contextlib
@@ -101,6 +102,32 @@ def split_rule(select, seed=0):
     if select == 'det':
         return contextlib.nullcontext()
     return randomized_splits(random.Random(seed))
+
+
+class Boom(Exception):
+    '''A raising key's comparison after its fuse burnt out.'''
+
+
+def raising_keys(values):
+    '''Keys with the given distinct int values, and a one-item list
+    ``fuse``.  Once ``fuse[0]`` is set to a count, ``<`` raises Boom
+    after that many more ordering comparisons; None never raises.'''
+    fuse = [None]
+
+    class Key:
+        __slots__ = ('v',)
+
+        def __init__(self, v):
+            self.v = v
+
+        def __lt__(self, other):
+            if fuse[0] is not None:
+                fuse[0] -= 1
+                if fuse[0] < 0:
+                    raise Boom()
+            return self.v < other.v
+
+    return [Key(v) for v in values], fuse
 
 
 def drain(heap):

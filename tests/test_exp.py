@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import drain, keys_of, make_exp_state, split_rule
+from conftest import (Boom, drain, keys_of, make_exp_state, raising_keys,
+                      split_rule)
 from partheap import (EmptyHeapError, ExpHeap, KeyOrderError,
                       attach_ledger, audit, lemma_check)
 
@@ -77,6 +78,35 @@ class TestPush:
         h.insert(1500)
         assert len(h.sets) == 3  # created S_3
         assert audit(h).passed
+
+    def test_raising_comparison_keeps_every_key(self):
+        # a comparison that raises inside a push leaves every set and
+        # pivot where it was: the full set stays (the audit says
+        # size-bound) and the heap drains every key it took in, the
+        # raising insert's own key included, since it went in first
+        in_push = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            values = rng.sample(range(1 << 20), 400)
+            keys, fuse = raising_keys(values)
+            h = ExpHeap()
+            for key in keys[:300]:
+                h.insert(key)
+            fuse[0] = rng.randrange(1, 40)
+            taken = 300
+            with pytest.raises(Boom):
+                for key in keys[300:]:
+                    h.insert(key)
+                    taken += 1
+            fuse[0] = None
+            if len(h) > taken:  # the raise came after the append
+                in_push += 1
+                taken += 1
+                assert [c for c, _ in audit(h).failures] == ['size-bound']
+            else:
+                assert audit(h).passed
+            assert [k.v for k in drain(h)] == sorted(values[:taken]), seed
+        assert in_push >= 5
 
 
 class TestDeleteMin:

@@ -6,6 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import Boom, raising_keys
 from partheap import (CostMeter, LinkedSet, Node, mom_select, quickselect,
                       select_rank, split_by_rank)
 from partheap.selection import _SAMPLE, select
@@ -16,6 +17,17 @@ def fill(keys):
     for k in keys:
         s.append(Node(k))
     return s
+
+
+def assert_links(s, nodes):
+    '''``s`` holds ``nodes`` in this order, linked both ways.'''
+    assert s.size == len(nodes) and list(s.iter_nodes()) == nodes
+    backward = []
+    at = s.last
+    while at is not None:
+        backward.append(at)
+        at = at.prev
+    assert backward == nodes[::-1]
 
 
 def counting_keys(values):
@@ -247,13 +259,29 @@ class TestSplitByRank:
         nodes = list(s.iter_nodes())
         with pytest.raises(ValueError):
             split_by_rank(s, 2)
-        assert list(s.iter_nodes()) == nodes and s.size == 4
-        backward = []
-        at = s.last
-        while at is not None:
-            backward.append(at)
-            at = at.prev
-        assert backward == nodes[::-1]
+        assert_links(s, nodes)
+
+    def test_raising_comparison_restores_input(self):
+        # a key comparison that raises, in the selection or in the
+        # partition pass, leaves the input set as it was
+        for size in range(2, 65):
+            values = list(range(size))
+            random.Random(size).shuffle(values)
+            keys, fuse = raising_keys(values)
+            for r in sorted({1, (size + 1) // 2, size - 1}):
+                s = fill(keys)
+                nodes = list(s.iter_nodes())
+                k = 0
+                while True:
+                    fuse[0] = k
+                    try:
+                        split_by_rank(s, r)
+                    except Boom:
+                        assert_links(s, nodes)
+                        k += 1
+                    else:
+                        break
+                assert k > size  # so it covered the partition pass
 
     def test_randomized_strategy_same_contract(self):
         rng = random.Random(3)

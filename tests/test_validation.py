@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (drain, make_exp_state, make_fhtng_state, make_lp_state,
-                      split_rule)
+from conftest import (Boom, drain, make_exp_state, make_fhtng_state,
+                      make_lp_state, raising_keys, split_rule)
 from partheap import (DeadHandleError, EmptyHeapError, ExpHeap,
                       FHTNGHeap, ForeignHandleError, KeyOrderError, LPHeap,
                       OracleHeap, PATTERNS, PotentialLedger, Trace,
@@ -29,32 +29,6 @@ def live_keys(trace):
         else:
             keys[op[1]] = op[2]
     return sorted(keys[h] for h in live)
-
-
-class Boom(Exception):
-    '''A raising key's comparison after its fuse burnt out.'''
-
-
-def raising_keys(values):
-    '''Keys with the given distinct int values, and a one-item list
-    ``fuse``.  Once ``fuse[0]`` is set to a count, ``<`` raises Boom
-    after that many more ordering comparisons; None never raises.'''
-    fuse = [None]
-
-    class Key:
-        __slots__ = ('v',)
-
-        def __init__(self, v):
-            self.v = v
-
-        def __lt__(self, other):
-            if fuse[0] is not None:
-                fuse[0] -= 1
-                if fuse[0] < 0:
-                    raise Boom()
-            return self.v < other.v
-
-    return [Key(v) for v in values], fuse
 
 
 class TestOracleHeap:
@@ -106,6 +80,39 @@ class TestOracleHeap:
         h.delete_min()
         assert not first.alive
         assert second.alive
+
+    @pytest.mark.parametrize('ops', [
+        [('insert', 5), ('insert', 7), ('decrease_key', 0, 5),
+         ('decrease_key', 1, 7), ('decrease_key', 0, 5),
+         ('increase_key', 0, 9)],
+        [('insert', 5), ('insert', 6), ('decrease_key', 0, 2),
+         ('increase_key', 0, 5), ('decrease_key', 1, 5),
+         ('increase_key', 1, 6), ('increase_key', 0, 8)],
+        [('insert', 5), ('insert', 4), ('decrease_key', 0, 3),
+         ('decrease_key', 0, 1), ('increase_key', 0, 2), ('delete', 0),
+         ('insert', 1), ('insert', 2)],
+    ], ids=['decrease-to-equal', 'increase-back', 'delete-with-stale'])
+    def test_stale_entries(self, ops):
+        # key changes and deletes leave stale entries, some with the
+        # key of a live entry; find_min and the drain must still follow
+        # a sorted model, and heapq must never fall through to comparing
+        # two handles (a TypeError)
+        h = OracleHeap()
+        handles = []
+        model = {}
+        for name, *args in ops:
+            if name == 'insert':
+                model[len(handles)] = args[0]
+                handles.append(h.insert(args[0]))
+                continue
+            getattr(h, name)(handles[args[0]], *args[1:])
+            if name == 'delete':
+                del model[args[0]]
+            else:
+                model[args[0]] = args[1]
+            assert len(h) == len(model)
+            assert h.find_min() == min(model.values())
+        assert drain(h) == sorted(model.values())
 
 
 class TestUnorderableKeys:
