@@ -5,11 +5,32 @@ keeps its size strictly between F_i and F_{i+3} while the structure is
 at rest; slot 3 has no lower bound.  Two structural rules bound the
 slot layout: never three nonempty slots in a row, and never nine empty
 slots in a row below the last nonempty slot.  Together the rules keep
-the first nonempty slot at index <= 11, so delete_min scans at most
-F_14 = 377 elements, and keep the number of pivots logarithmic for the
-binary searches done by insert and decrease_key.  A decrease_key whose
-new key is still at or above its slot's pivot changes no slot size, so
-it neither moves the node nor restores anything.
+the first nonempty slot at index <= 11, so that its set holds fewer
+than F_14 = 377 elements, and keep the number of pivots logarithmic for
+the binary searches done by insert and decrease_key.  A decrease_key whose new key is still at or
+above its slot's pivot changes no slot size, so it neither moves the
+node nor restores anything.
+
+delete_min takes the minimum of the first nonempty slot.  A set of at
+most 2 * FRONT = 16 nodes is scanned whole.  A larger one is scanned
+once for its FRONT smallest nodes, kept in key order in ``_front``
+with the set they came from in ``_front_set``, and later delete_mins
+pop from that cache for as long as the first slot holds the same set
+object.  The cache stays valid through:
+
+  - delete_min's own removals, which pop it;
+  - slides, merge_down and bottom_merge, which move the set or append
+    the keys of later slots, all above every cached key;
+  - arrivals above the largest cached key.  An insert or a decrease_key
+    that places a key in the cached set compares it with that key once,
+    before its first write, and drops the cache when it is below.  A
+    key below every pivot, a key placed after a restoring operation
+    ran, and a decrease_key on a cached node drop it without comparing.
+
+A split or concatenation that consumes the cached set empties it, and
+``_restore`` drops a cache whose set is empty.  Any future operation
+that removes a node or raises a key (``delete``, ``increase_key``) must
+drop the cache when the node is cached.
 
 Six restoring operations repair violations, each with a constant or
 Fibonacci nominal cost that the potential tracker checks against the
@@ -57,6 +78,44 @@ while len(FIB) < 96:
     FIB.append(FIB[-1] + FIB[-2])
 
 _FIRST_SLOT = 3
+FRONT = 8   # nodes the first-slot cache keeps
+
+
+def _smallest(linked_set, meter):
+    '''The FRONT smallest nodes of ``linked_set``, which holds more,
+    largest first.  Each of the first FRONT nodes is placed by binary
+    insertion; every later one is compared with the largest kept node
+    and, when below it, takes its place by binary insertion among the
+    others.  Reads only, and charges every comparison it makes.'''
+    keys = []
+    nodes = []
+    probes = 0
+    top = None
+    at = linked_set.first
+    while at is not None:
+        key = at.key
+        if top is not None:
+            if not key < top:
+                at = at.next
+                continue
+            del keys[-1], nodes[-1]
+        lo = 0
+        hi = len(keys)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            probes += 1
+            if key < keys[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        keys.insert(lo, key)
+        nodes.insert(lo, at)
+        if len(keys) == FRONT:
+            top = keys[-1]
+        at = at.next
+    meter.comparisons += probes + linked_set.size - FRONT
+    nodes.reverse()
+    return nodes
 
 
 def proportional_split_sizes(i, size):
@@ -96,6 +155,8 @@ class FHTNGHeap(PartitionHeap):
         self.slot_sets = [None] * (_FIRST_SLOT + 1)
         self._ne = []        # sorted indices of nonempty slots
         self._ne_pivs = []   # their pivots, same order
+        self._front = []     # smallest nodes of _front_set, largest first
+        self._front_set = None
 
     # ------------------------------------------------------------------
     # slot bookkeeping
@@ -125,6 +186,29 @@ class FHTNGHeap(PartitionHeap):
         assert self._ne[pos] == i
         self._ne_pivs[pos] = pivot
 
+    def _target(self, pos):
+        '''The set an arriving key at the 1-based ``pos`` of a pivot
+        search joins, or None when it would create slot 3.'''
+        return self.slot_sets[self._ne[pos - 2] if pos > 1 else _FIRST_SLOT]
+
+    def _drop_front(self):
+        self._front = []
+        self._front_set = None
+
+    def _admit(self, key, pos):
+        '''Before ``key`` is placed at ``pos``: drop the front cache if
+        the key joins the cached set below its largest cached key.  A
+        key below every pivot joins slot 3 below all of its keys, so
+        that costs no comparison; any other arrival costs one.'''
+        front = self._front
+        if not front or self._target(pos) is not self._front_set:
+            return
+        if pos > 1:
+            self.meter.comparisons += 1
+            if not key < front[0].key:
+                return
+        self._drop_front()
+
     def _place_slot(self, key, pos):
         '''Destination slot for an arriving key at the 1-based ``pos``
         that a pivot search of ``_ne_pivs`` gave: the rightmost slot
@@ -150,8 +234,10 @@ class FHTNGHeap(PartitionHeap):
         node = self._node(user_key)
         c0 = meter.comparisons
         key = node.key
-        slot = self._place_slot(key, pivot_search(self._ne_pivs, key, meter))
+        pos = pivot_search(self._ne_pivs, key, meter)
         self.last_search_comparisons = meter.comparisons - c0
+        self._admit(key, pos)
+        slot = self._place_slot(key, pos)
         s = self.slot_sets[slot]
         s.append(node, meter)
         self.n += 1
@@ -170,7 +256,18 @@ class FHTNGHeap(PartitionHeap):
         nonempty_before = len(self._ne)
         j = self._ne[0]
         s = self.slot_sets[j]
-        node = s.min_node(meter)
+        front = self._front
+        if s is self._front_set:
+            node = front.pop()
+            if not front:
+                self._front_set = None
+        elif s.size > 2 * FRONT:
+            front = _smallest(s, meter)
+            node = front.pop()
+            self._front = front
+            self._front_set = s
+        else:
+            node = s.min_node(meter)
         s.remove(node, meter)
         node.alive = False
         self.n -= 1
@@ -184,10 +281,12 @@ class FHTNGHeap(PartitionHeap):
     def decrease_key(self, node, user_key):
         '''Lower the key of a live handle.  Sets are unordered, so a key
         still at or above its slot's pivot keeps its place in the list.
-        A lower one leaves its slot, the restoration runs, and the key
-        is placed by a search of the pivots before its old slot; when a
-        restoring operation ran, every pivot is searched, since it may
-        have changed the pivots below the old slot.'''
+        A lower one is placed by a search of the pivots before its old
+        slot, then leaves its slot and the restoration runs; when a
+        restoring operation ran, every pivot is searched again, since it
+        may have changed the pivots below the old slot.  Every comparison
+        but those of a restoration and its search runs before the first
+        write.'''
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
@@ -196,15 +295,25 @@ class FHTNGHeap(PartitionHeap):
         pos = pivot_search(pivs, node.key, meter)
         c1 = meter.comparisons
         assert pos > 1  # a live key is never below the first pivot
+        src = self._ne[pos - 2]
+        s = self.slot_sets[src]
+        if s is self._front_set and node in self._front:
+            self._drop_front()
         meter.comparisons += 1
         if not key < pivs[pos - 2]:
+            self._admit(key, pos)
             node.key = key
             self.last_search_comparisons = max(c1 - c0, 1)
             if led is not None:
                 led.record('decrease_key', after=led.phi)
             return
-        src = self._ne[pos - 2]
-        s = self.slot_sets[src]
+        # the key is placed before the first write; without a restoring
+        # operation the pivots from the old slot's index on stay above
+        # it, and the ones below stay put
+        c2 = meter.comparisons
+        dpos = lower_search(pivs, key, meter, pos - 2)
+        c3 = meter.comparisons
+        self._admit(key, dpos)
         s.remove(node, meter)
         if s.size == 0:
             self._clear_slot(src)
@@ -212,13 +321,14 @@ class FHTNGHeap(PartitionHeap):
         if led is not None:
             phi0 = led.phi
             phi1 = led.phi = self.potential()
-        # without a restoring operation the pivots from the old slot's
-        # index on are still above the key
-        hi = len(pivs) if self._restore(src if s.size else None) else pos - 2
-        c2 = meter.comparisons
-        dst = self._place_slot(key, lower_search(pivs, key, meter, hi))
-        self.last_search_comparisons = max(c1 - c0,
-                                           1 + meter.comparisons - c2)
+        if self._restore(src if s.size else None):
+            c2 = meter.comparisons
+            dpos = lower_search(pivs, key, meter, len(pivs))
+            c3 = meter.comparisons
+            if self._front and self._target(dpos) is self._front_set:
+                self._drop_front()
+        dst = self._place_slot(key, dpos)
+        self.last_search_comparisons = max(c1 - c0, 1 + c3 - c2)
         s = self.slot_sets[dst]
         s.append(node, meter)
         if led is not None:
@@ -288,6 +398,10 @@ class FHTNGHeap(PartitionHeap):
         while True:
             violation = self._find_violation()
             if violation is None:
+                if guard and self._front_set is not None \
+                        and not self._front_set.size:
+                    # a split or concatenation consumed the cached set
+                    self._drop_front()
                 return guard > 0
             restoring, i = violation
             op, nominal = restoring(i)

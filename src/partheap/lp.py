@@ -56,20 +56,21 @@ class LPHeap(PartitionHeap):
         led = self.ledger
         node = self._node(user_key)
         key = node.key
-        # compare with the cached minimum before any change, so a key
-        # that does not compare with the stored ones leaves the heap as
-        # it was
-        cached = self.cached_min
-        new_min = cached is None or key < cached.key
-        if not self.sets:
-            self.sets.append(LinkedSet())
+        # search and compare before any change, so a key that does not
+        # compare with the stored ones leaves the heap as it was; a key
+        # past S_1 is at or above pivots[0], so it is not the minimum
         c0 = meter.comparisons
         pos = core.pivot_search(self.pivots, key, meter)
         self.last_search_comparisons = meter.comparisons - c0
+        cached = self.cached_min
+        new_min = cached is None
+        if pos == 1 and not new_min:
+            new_min = key < cached.key
+            meter.comparisons += 1
+        if not self.sets:
+            self.sets.append(LinkedSet())
         self.sets[pos - 1].append(node, meter)
         self.n += 1
-        if cached is not None:
-            meter.comparisons += 1
         if new_min:
             self.cached_min = node
         self._fresh_partition = False
@@ -98,16 +99,26 @@ class LPHeap(PartitionHeap):
         node.alive = False
         self.n -= 1
         self._forget_pivots()
-        if self.sets and self.sets[0].size >= 2:
-            # split the front set, S_1 or the set that replaced an
-            # emptied S_1: the potential it releases pays for the
-            # minimum rescan below
-            touches += self._split_first()
+        try:
+            if self.sets and self.sets[0].size >= 2:
+                # split the front set, S_1 or the set that replaced an
+                # emptied S_1: the potential it releases pays for the
+                # minimum rescan below
+                touches += self._split_first()
+            rescan = self.sets[0].min_node(meter) if self.n else None
+        except BaseException:
+            # a comparison raised: the split put its input back, so put
+            # the minimum back in front, below every key, and leave the
+            # heap as a valid heap without the op
+            node.alive = True
+            self.sets[0].append(node)
+            self.n += 1
+            self._fresh_partition = False
+            if led is not None:
+                led.phi = (self.potential_phi(),)
+            raise
         self.last_delete_min_touches = touches
-        if self.n == 0:
-            self.cached_min = None
-        else:
-            self.cached_min = self.sets[0].min_node(meter)
+        self.cached_min = rescan
         if led is not None:
             led.record('delete_min', a=s1_before, b=ell_before,
                        after=(self.potential_phi(),))

@@ -218,6 +218,36 @@ def _audit_fhtng(report, heap):
             report.fail('consecutive-nonempty',
                         'three nonempty slots ending at %d' % i)
         prev = i
+    _audit_front(report, heap)
+
+
+def _audit_front(report, heap):
+    '''delete_min pops FHTNG's front cache while the first slot holds
+    its set: the cache must hold live nodes of a set in some slot, in
+    decreasing key order, and every other node of that set must lie
+    above the largest of them.  An empty cache names no set.'''
+    front = heap._front
+    owner = heap._front_set
+    if not front:
+        if owner is not None:
+            report.fail('front', 'empty cache names a set')
+        return
+    if not any(heap.slot_sets[i] is owner for i in heap._ne):
+        report.fail('front', 'cached set is in no slot')
+        return
+    members = set(owner.iter_nodes())
+    for node in front:
+        if not node.alive or node not in members:
+            report.fail('front', 'cached %r is not a live node of its set'
+                        % (node,))
+    for a, b in zip(front, front[1:]):
+        if not b.key < a.key:
+            report.fail('front', 'cached %r before %r' % (a.key, b.key))
+    top = front[0].key
+    for node in members.difference(front):
+        if node.key < top:
+            report.fail('front', '%r in the cached set is below the '
+                        'largest cached %r' % (node.key, top))
 
 
 def _audit_exp(report, heap):

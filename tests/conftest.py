@@ -110,9 +110,17 @@ class Boom(Exception):
 
 def raising_keys(values):
     '''Keys with the given distinct int values, and a one-item list
-    ``fuse``.  Once ``fuse[0]`` is set to a count, ``<`` raises Boom
-    after that many more ordering comparisons; None never raises.'''
+    ``fuse``.  Once ``fuse[0]`` is set to a count, ``<`` and ``<=``
+    raise Boom after that many more ordering comparisons; None never
+    raises.  Each comparison counts ``fuse[0]`` down, so a large fuse
+    also counts comparisons.'''
     fuse = [None]
+
+    def burn():
+        if fuse[0] is not None:
+            fuse[0] -= 1
+            if fuse[0] < 0:
+                raise Boom()
 
     class Key:
         __slots__ = ('v',)
@@ -121,11 +129,12 @@ def raising_keys(values):
             self.v = v
 
         def __lt__(self, other):
-            if fuse[0] is not None:
-                fuse[0] -= 1
-                if fuse[0] < 0:
-                    raise Boom()
+            burn()
             return self.v < other.v
+
+        def __le__(self, other):
+            burn()
+            return self.v <= other.v
 
     return [Key(v) for v in values], fuse
 

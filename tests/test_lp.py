@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from conftest import (drain, keys_of, lockstep_with_oracle, make_lp_state,
-                      randomized_splits, split_rule)
+from conftest import (Boom, drain, keys_of, lockstep_with_oracle,
+                      make_lp_state, raising_keys, randomized_splits,
+                      split_rule)
 from partheap import (EmptyHeapError, KeyOrderError, LPHeap, attach_ledger,
                       audit, gen, lemma_check, run_trace)
 
@@ -37,6 +38,17 @@ class TestInsert:
         h.insert(123)
         # 15 pivots: ceil(lg 16) = 4 comparisons
         assert h.last_search_comparisons <= 5
+
+    def test_cached_minimum_compared_only_in_s1(self):
+        # a key past S_1 is at or above pivots[0], above the minimum
+        h = make_lp_state([3, 2])  # pivot at 2000
+        before = h.meter.comparisons
+        h.insert(2500)
+        assert h.meter.comparisons - before == h.last_search_comparisons
+        before = h.meter.comparisons
+        h.insert(500)
+        assert h.meter.comparisons - before == h.last_search_comparisons + 1
+        assert h.find_min() == 500 and audit(h).passed
 
 
 class TestDeleteMin:
@@ -99,6 +111,23 @@ class TestDeleteMin:
         for k in keys:
             h.insert(k)
         assert drain(h) == sorted(keys)
+
+    def test_raising_split_leaves_the_heap_without_the_op(self):
+        # the split of S_1 raises: the minimum goes back in front, and
+        # the ledger's phi follows the sweep that already ran
+        values = random.Random(3).sample(range(1000), 200)
+        keys, fuse = raising_keys(values)
+        h = LPHeap()
+        for key in keys:
+            h.insert(key)
+        attach_ledger(h)
+        fuse[0] = 5
+        with pytest.raises(Boom):
+            h.delete_min()
+        fuse[0] = None
+        assert audit(h).passed
+        assert h.find_min().v == min(values)
+        assert [key.v for key in drain(h)] == sorted(values)
 
 
 class TestForgetPivots:

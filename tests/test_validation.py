@@ -379,11 +379,43 @@ class TestAudit:
         report = audit(h)
         assert [check for check, _ in report.failures] == ['cached-min']
 
+    @pytest.mark.parametrize('how', ['dead', 'other-set', 'order', 'below',
+                                     'no-slot', 'empty'])
+    def test_fhtng_front_cache_checked(self, how):
+        # delete_min pops the front cache without comparing, so the
+        # audit checks that it holds the smallest live nodes of a set in
+        # some slot, largest first
+        h = make_fhtng_state({6: 20, 8: 40})
+        assert h.delete_min() == 6000
+        front = h._front
+        assert h._front_set is h.slot_sets[6] and len(front) == 7
+        assert audit(h).passed
+        if how == 'dead':
+            # the cached minimum left the heap but is still cached
+            h.slot_sets[6].remove(front[-1])
+            front[-1].alive = False
+            h.n -= 1
+        elif how == 'other-set':
+            front[0] = h.slot_sets[8].first
+        elif how == 'order':
+            front[0], front[1] = front[1], front[0]
+        elif how == 'below':
+            # 6002 left the cache but lies below its largest key
+            del front[-2]
+        elif how == 'no-slot':
+            h._front_set = make_fhtng_state({6: 20}).slot_sets[6]
+        else:
+            del front[:]
+        report = audit(h)
+        assert report.failures
+        assert {check for check, _ in report.failures} == {'front'}
+
     @pytest.mark.parametrize('impl', [LPHeap, FHTNGHeap, ExpHeap])
     def test_raising_comparison_never_silent(self, impl):
         # a comparison that raises inside delete_min may leave the heap
         # broken, but never silently: the audit fails, or the heap
-        # drains the live keys, with or without the minimum
+        # drains the live keys, with or without the minimum.  LP puts
+        # the minimum back, so its heap always audits clean
         raised = 0
         for seed in range(300):
             rng = random.Random(seed)
@@ -403,10 +435,56 @@ class TestAudit:
                 continue
             fuse[0] = None
             if not audit(h).passed:
+                assert impl is not LPHeap, seed
                 continue
             live = sorted(values)[50:]
             assert [key.v for key in drain(h)] in (live, live[1:]), seed
         assert raised >= 30
+
+    @pytest.mark.parametrize('op', ['insert', 'decrease_key'])
+    def test_fhtng_raising_update_leaves_a_valid_heap(self, op):
+        # an insert or decrease_key whose key lands near the front cache,
+        # with a comparison raising at each index in turn until the op
+        # completes: each time the heap audits clean and drains the live
+        # keys as they were, or with the op applied
+        raised = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            values = rng.sample(range(0, 1 << 20, 2), 300)
+            live = sorted(values)[20:]
+            # an odd value, so distinct, among the smallest live keys
+            new = rng.randrange(live[0], live[40]) | 1
+            pick = rng.random()
+            for at in range(100):
+                keys, fuse = raising_keys(values + [new])
+                h = FHTNGHeap()
+                handles = [h.insert(key) for key in keys[:300]]
+                for _ in range(20):
+                    h.delete_min()
+                if op == 'insert':
+                    call = (h.insert, keys[300])
+                    applied = sorted(live + [new])
+                else:
+                    above = [n for n in handles
+                             if n.alive and n.key[0].v > new]
+                    node = above[int(pick * len(above))]
+                    call = (h.decrease_key, node, keys[300])
+                    applied = sorted([v for v in live if v != node.key[0].v]
+                                     + [new])
+                fuse[0] = at
+                try:
+                    call[0](*call[1:])
+                except Boom:
+                    raised += 1
+                else:
+                    break
+                fuse[0] = None
+                assert audit(h).passed, (seed, at)
+                assert [key.v for key in drain(h)] in (live, applied), \
+                    (seed, at)
+        # measured 71 and 151, the new comparison with the cached maximum
+        # among them
+        assert raised >= {'insert': 60, 'decrease_key': 120}[op]
 
     @pytest.mark.parametrize('kind', ('lp', 'fhtng', 'exp'))
     def test_set_above_next_pivot_detected(self, kind):
