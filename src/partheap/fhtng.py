@@ -65,7 +65,8 @@ scan of every nonempty slot when that slot is out of its band or when
 the operation emptied or created a slot (see ``_restore``).
 '''
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 
 from .core import (EmptyHeapError, LinkedSet, PartitionHeap, lower_search,
                    pivot_search)
@@ -81,37 +82,55 @@ _FIRST_SLOT = 3
 FRONT = 8   # nodes the first-slot cache keeps
 
 
+def _probe_counts(hi):
+    '''Comparisons ``bisect_right`` makes over a list of ``hi`` keys,
+    indexed by the position it returns: each probe's outcome follows
+    from that position, so the count does too.'''
+    counts = []
+    for pos in range(hi + 1):
+        lo = count = 0
+        top = hi
+        while lo < top:
+            mid = (lo + top) >> 1
+            count += 1
+            if pos <= mid:
+                top = mid
+            else:
+                lo = mid + 1
+        counts.append(count)
+    return counts
+
+
+_PROBES = [_probe_counts(hi) for hi in range(FRONT)]
+_KEY = attrgetter('key')
+
+
 def _smallest(linked_set, meter):
     '''The FRONT smallest nodes of ``linked_set``, which holds more,
     largest first.  Each of the first FRONT nodes is placed by binary
     insertion; every later one is compared with the largest kept node
     and, when below it, takes its place by binary insertion among the
-    others.  Reads only, and charges every comparison it makes.'''
-    keys = []
+    others.  Reads only, and charges every comparison it makes: one per
+    later node, and per insertion what ``_PROBES`` gives for the
+    position ``bisect_right`` returned.'''
     nodes = []
     probes = 0
-    top = None
     at = linked_set.first
+    for hi in range(FRONT):
+        pos = bisect_right(nodes, at.key, key=_KEY)
+        probes += _PROBES[hi][pos]
+        nodes.insert(pos, at)
+        at = at.next
+    last = FRONT - 1
+    counts = _PROBES[last]
+    top = nodes[last].key
     while at is not None:
-        key = at.key
-        if top is not None:
-            if not key < top:
-                at = at.next
-                continue
-            del keys[-1], nodes[-1]
-        lo = 0
-        hi = len(keys)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            probes += 1
-            if key < keys[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        keys.insert(lo, key)
-        nodes.insert(lo, at)
-        if len(keys) == FRONT:
-            top = keys[-1]
+        if at.key < top:
+            pos = bisect_right(nodes, at.key, 0, last, key=_KEY)
+            probes += counts[pos]
+            del nodes[last]
+            nodes.insert(pos, at)
+            top = nodes[last].key
         at = at.next
     meter.comparisons += probes + linked_set.size - FRONT
     nodes.reverse()
@@ -196,16 +215,15 @@ class FHTNGHeap(PartitionHeap):
         self._front_set = None
 
     def _admit(self, key, pos):
-        '''Before ``key`` is placed at ``pos``: drop the front cache if
-        the key joins the cached set below its largest cached key.  A
-        key below every pivot joins slot 3 below all of its keys, so
-        that costs no comparison; any other arrival costs one.'''
-        front = self._front
-        if not front or self._target(pos) is not self._front_set:
+        '''Before ``key`` is placed at ``pos`` while the front cache is
+        held: drop the cache if the key joins its set below its largest
+        key.  A key below every pivot joins slot 3 below all of its
+        keys, so that costs no comparison; any other arrival costs one.'''
+        if self._target(pos) is not self._front_set:
             return
         if pos > 1:
             self.meter.comparisons += 1
-            if not key < front[0].key:
+            if not key < self._front[0].key:
                 return
         self._drop_front()
 
@@ -236,7 +254,8 @@ class FHTNGHeap(PartitionHeap):
         key = node.key
         pos = pivot_search(self._ne_pivs, key, meter)
         self.last_search_comparisons = meter.comparisons - c0
-        self._admit(key, pos)
+        if self._front:
+            self._admit(key, pos)
         slot = self._place_slot(key, pos)
         s = self.slot_sets[slot]
         s.append(node, meter)
@@ -295,13 +314,13 @@ class FHTNGHeap(PartitionHeap):
         pos = pivot_search(pivs, node.key, meter)
         c1 = meter.comparisons
         assert pos > 1  # a live key is never below the first pivot
-        src = self._ne[pos - 2]
-        s = self.slot_sets[src]
-        if s is self._front_set and node in self._front:
+        if node in self._front:
+            # its new key may break the cache's order
             self._drop_front()
         meter.comparisons += 1
         if not key < pivs[pos - 2]:
-            self._admit(key, pos)
+            if self._front:
+                self._admit(key, pos)
             node.key = key
             self.last_search_comparisons = max(c1 - c0, 1)
             if led is not None:
@@ -313,7 +332,10 @@ class FHTNGHeap(PartitionHeap):
         c2 = meter.comparisons
         dpos = lower_search(pivs, key, meter, pos - 2)
         c3 = meter.comparisons
-        self._admit(key, dpos)
+        if self._front:
+            self._admit(key, dpos)
+        src = self._ne[pos - 2]
+        s = self.slot_sets[src]
         s.remove(node, meter)
         if s.size == 0:
             self._clear_slot(src)
