@@ -20,9 +20,9 @@ keys.  This module provides the pieces they share:
     list, or a ``lo:hi`` slice of it, the one pivot search every heap
     uses.  ``lower_search`` places a lowered key among the pivots
     below its old set; every heap's decrease-key places with it.
-    ``relocation`` is LPHeap's and ExpHeap's whole decrease-key search
-    over their shared layout, ``pivots[j]`` bounding ``sets[j + 1]``
-    below: the source search, the stay test, then ``lower_search``.
+    ``relocation`` is all three heaps' decrease-key search: the source
+    search, the stay test, then ``lower_search``.  ``sets[j]`` is at
+    position ``j + 1``; FHTNG's ``pivots[0]`` is a floor, so ``j + 2``.
   - CostMeter: plain counters that define the "actual cost" used by the
     tests; each LinkedSet operation charges its own cost to a meter.
 '''

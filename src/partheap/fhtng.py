@@ -1,4 +1,4 @@
-'''Slot-indexed heap with Fibonacci size bands.
+'''Slot-numbered heap with Fibonacci size bands.
 
 Sets occupy numbered slots starting at 3.  A set present in slot i > 3
 keeps its size strictly between F_i and F_{i+3} while the structure is
@@ -7,9 +7,19 @@ slot layout: never three nonempty slots in a row, and never nine empty
 slots in a row below the last nonempty slot.  Together the rules keep
 the first nonempty slot at index <= 11, so that its set holds fewer
 than F_14 = 377 elements, and keep the number of pivots logarithmic for
-the binary searches done by insert and decrease_key.  A decrease_key whose new key is still at or
-above its slot's pivot changes no slot size, so it neither moves the
-node nor restores anything.
+the binary searches done by insert and decrease_key.  A decrease_key
+whose new key is still at or above its slot's pivot changes no slot
+size, so it neither moves the node nor restores anything.
+
+The state is three parallel lists in key order, one entry per nonempty
+slot: ``sets[j]`` is the set, ``pivots[j]`` its lower bound and
+``_ne[j]`` its slot number, strictly increasing from 3.  Empty slots
+hold nothing, so a slide to a free neighbour only renumbers ``_ne[j]``.
+The first set keeps its lower bound, the floor, in ``pivots[0]``: every
+pivot search runs over this floor-first list, so its probes, and the
+comparisons the meter counts, are the ones FHTNG has always made.
+``core.relocation`` searches the same list, where ``sets[j]`` is
+position ``j + 2``.
 
 delete_min takes the minimum of the first nonempty slot.  A set of at
 most 2 * FRONT = 16 nodes is scanned whole.  A larger one is scanned
@@ -65,11 +75,11 @@ scan of every nonempty slot when that slot is out of its band or when
 the operation emptied or created a slot (see ``_restore``).
 '''
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from operator import attrgetter
 
 from .core import (EmptyHeapError, LinkedSet, PartitionHeap, lower_search,
-                   pivot_search)
+                   pivot_search, relocation)
 from .selection import split_by_rank
 
 
@@ -82,26 +92,23 @@ _FIRST_SLOT = 3
 FRONT = 8   # nodes the first-slot cache keeps
 
 
-def _probe_counts(hi):
-    '''Comparisons ``bisect_right`` makes over a list of ``hi`` keys,
-    indexed by the position it returns: each probe's outcome follows
-    from that position, so the count does too.'''
-    counts = []
-    for pos in range(hi + 1):
-        lo = count = 0
-        top = hi
-        while lo < top:
-            mid = (lo + top) >> 1
-            count += 1
-            if pos <= mid:
-                top = mid
-            else:
-                lo = mid + 1
-        counts.append(count)
-    return counts
+def _probes(hi, pos):
+    '''Comparisons ``bisect_right`` over ``hi`` keys makes when it
+    returns ``pos``, as does ``pivot_search`` returning ``pos + 1``:
+    each probe's outcome follows from that position.'''
+    lo = count = 0
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        count += 1
+        if pos <= mid:
+            hi = mid
+        else:
+            lo = mid + 1
+    return count
 
 
-_PROBES = [_probe_counts(hi) for hi in range(FRONT)]
+_PROBES = [[_probes(hi, pos) for pos in range(hi + 1)]
+           for hi in range(FRONT)]
 _KEY = attrgetter('key')
 
 
@@ -165,50 +172,37 @@ class FHTNGHeap(PartitionHeap):
     with the usual error reporting for empty heaps, dead handles and
     key increases.  The -thru and split operations find their rank
     with deterministic selection.
+
+    ``sets``, ``pivots`` and ``_ne`` hold each nonempty slot's set, lower
+    pivot and slot number in key order.  Unlike LP's and Exp's layout,
+    ``pivots[0]`` bounds the first set too, the floor, so ``sets[j]`` is
+    search position ``j + 2``.  Restoring operations take set indices.
     '''
 
     kind = 'fhtng'
 
     def __init__(self):
         super().__init__()
-        self.slot_sets = [None] * (_FIRST_SLOT + 1)
-        self._ne = []        # sorted indices of nonempty slots
-        self._ne_pivs = []   # their pivots, same order
+        self.sets = []       # nonempty sets in key order
+        self.pivots = []     # pivots[j] bounds sets[j] below
+        self._ne = []        # slot number of each set, increasing
         self._front = []     # smallest nodes of _front_set, largest first
         self._front_set = None
 
-    # ------------------------------------------------------------------
-    # slot bookkeeping
-
-    def _grow(self, i):
-        while len(self.slot_sets) <= i:
-            self.slot_sets.append(None)
-
-    def _set_slot(self, i, linked_set, pivot):
-        self._grow(i)
-        assert self.slot_sets[i] is None
-        self.slot_sets[i] = linked_set
-        pos = bisect_left(self._ne, i)
-        self._ne.insert(pos, i)
-        self._ne_pivs.insert(pos, pivot)
-
-    def _clear_slot(self, i):
-        '''Empty slot i; return the pivot it held.'''
-        self.slot_sets[i] = None
-        pos = bisect_left(self._ne, i)
-        assert self._ne[pos] == i
-        del self._ne[pos]
-        return self._ne_pivs.pop(pos)
-
-    def _set_pivot(self, i, pivot):
-        pos = bisect_left(self._ne, i)
-        assert self._ne[pos] == i
-        self._ne_pivs[pos] = pivot
+    @property
+    def slot_sets(self):
+        '''Read-only view by slot number: each slot's set, or None
+        when the slot is empty.'''
+        view = [None] * (max(self._ne, default=_FIRST_SLOT) + 1)
+        for i, s in zip(self._ne, self.sets):
+            view[i] = s
+        return view
 
     def _target(self, pos):
         '''The set an arriving key at the 1-based ``pos`` of a pivot
         search joins, or None when it would create slot 3.'''
-        return self.slot_sets[self._ne[pos - 2] if pos > 1 else _FIRST_SLOT]
+        if pos > 1 or self._ne[:1] == [_FIRST_SLOT]:
+            return self.sets[pos - 2 if pos > 1 else 0]
 
     def _drop_front(self):
         self._front = []
@@ -227,20 +221,21 @@ class FHTNGHeap(PartitionHeap):
                 return
         self._drop_front()
 
-    def _place_slot(self, key, pos):
-        '''Destination slot for an arriving key at the 1-based ``pos``
-        that a pivot search of ``_ne_pivs`` gave: the rightmost slot
-        whose pivot is <= key, or slot 3 when the key is below every
-        pivot (creating or re-bounding slot 3 as needed).'''
+    def _place(self, key, pos):
+        '''Index of the set an arriving key at the 1-based ``pos`` of a
+        pivot search joins: the last set whose pivot is <= key, or slot
+        3 when the key is below every pivot (creating or re-bounding
+        slot 3 as needed).'''
         if pos > 1:
-            return self._ne[pos - 2]
-        if self.slot_sets[_FIRST_SLOT] is None:
-            self._set_slot(_FIRST_SLOT, LinkedSet(), key)
-        else:
+            return pos - 2
+        if self._ne[:1] == [_FIRST_SLOT]:
             # the search put the key below slot 3's pivot, which is only
             # a lower bound; keep it tight so the sandwich audit is exact
-            self._ne_pivs[0] = key
-        return _FIRST_SLOT
+            self.pivots[0] = key
+        else:
+            self.sets[:0], self.pivots[:0], self._ne[:0] = (
+                [LinkedSet()], [key], [_FIRST_SLOT])
+        return 0
 
     # ------------------------------------------------------------------
     # public operations
@@ -252,18 +247,18 @@ class FHTNGHeap(PartitionHeap):
         node = self._node(user_key)
         c0 = meter.comparisons
         key = node.key
-        pos = pivot_search(self._ne_pivs, key, meter)
+        pos = pivot_search(self.pivots, key, meter)
         self.last_search_comparisons = meter.comparisons - c0
         if self._front:
             self._admit(key, pos)
-        slot = self._place_slot(key, pos)
-        s = self.slot_sets[slot]
+        k = self._place(key, pos)
+        s = self.sets[k]
         s.append(node, meter)
         self.n += 1
         if led is not None:
             led.record('insert', after=self.potential())
-        # size 1: _place_slot has just created slot 3
-        self._restore(slot if s.size > 1 else None)
+        # size 1: _place has just created slot 3
+        self._restore(k if s.size > 1 else None)
         return node
 
     def delete_min(self):
@@ -273,8 +268,7 @@ class FHTNGHeap(PartitionHeap):
         meter = self.meter
         led = self.ledger
         nonempty_before = len(self._ne)
-        j = self._ne[0]
-        s = self.slot_sets[j]
+        s = self.sets[0]
         front = self._front
         if s is self._front_set:
             node = front.pop()
@@ -291,67 +285,59 @@ class FHTNGHeap(PartitionHeap):
         node.alive = False
         self.n -= 1
         if s.size == 0:
-            self._clear_slot(j)
+            del self.sets[0], self.pivots[0], self._ne[0]
         if led is not None:
             led.record('delete_min', a=nonempty_before, after=self.potential())
-        self._restore(j if s.size else None)
+        self._restore(0 if s.size else None)
         return node.key[0]
 
     def decrease_key(self, node, user_key):
         '''Lower the key of a live handle.  Sets are unordered, so a key
         still at or above its slot's pivot keeps its place in the list.
-        A lower one is placed by a search of the pivots before its old
-        slot, then leaves its slot and the restoration runs; when a
-        restoring operation ran, every pivot is searched again, since it
-        may have changed the pivots below the old slot.  Every comparison
-        but those of a restoration and its search runs before the first
-        write.'''
+        A lower one is placed by ``relocation``'s search of the pivots
+        before its old slot, then leaves its slot and the restoration
+        runs; when a restoring operation ran, every pivot is searched
+        again, since it may have changed the pivots below the old slot.
+        Every comparison but those of a restoration and its search runs
+        before the first write.'''
         key = self._lowered(node, user_key)
         meter = self.meter
         led = self.ledger
-        pivs = self._ne_pivs
-        c0 = meter.comparisons
-        pos = pivot_search(pivs, node.key, meter)
-        c1 = meter.comparisons
-        assert pos > 1  # a live key is never below the first pivot
+        src, dst, cost = relocation(self.pivots, node.key, key, meter)
+        assert src > 1  # a live key is never below the first pivot
         if node in self._front:
             # its new key may break the cache's order
             self._drop_front()
-        meter.comparisons += 1
-        if not key < pivs[pos - 2]:
-            if self._front:
-                self._admit(key, pos)
+        elif self._front:
+            self._admit(key, dst)
+        self.last_search_comparisons = cost
+        if dst == src:
             node.key = key
-            self.last_search_comparisons = max(c1 - c0, 1)
             if led is not None:
                 led.record('decrease_key', after=led.phi)
             return
-        # the key is placed before the first write; without a restoring
-        # operation the pivots from the old slot's index on stay above
-        # it, and the ones below stay put
-        c2 = meter.comparisons
-        dpos = lower_search(pivs, key, meter, pos - 2)
-        c3 = meter.comparisons
-        if self._front:
-            self._admit(key, dpos)
-        src = self._ne[pos - 2]
-        s = self.slot_sets[src]
+        # placed before the first write: unless a restoring operation
+        # runs, the pivots below the old slot, which placed it, stay put
+        hi = len(self.pivots)
+        k = src - 2
+        s = self.sets[k]
         s.remove(node, meter)
         if s.size == 0:
-            self._clear_slot(src)
+            del self.sets[k], self.pivots[k], self._ne[k]
         node.key = key
         if led is not None:
             phi0 = led.phi
             phi1 = led.phi = self.potential()
-        if self._restore(src if s.size else None):
-            c2 = meter.comparisons
-            dpos = lower_search(pivs, key, meter, len(pivs))
-            c3 = meter.comparisons
-            if self._front and self._target(dpos) is self._front_set:
+        if self._restore(k if s.size else None):
+            c0 = meter.comparisons
+            dst = lower_search(self.pivots, key, meter, len(self.pivots))
+            # the source search, recounted from its result, or the new one
+            self.last_search_comparisons = max(
+                _probes(hi, src - 1), 1 + meter.comparisons - c0)
+            if self._front and self._target(dst) is self._front_set:
                 self._drop_front()
-        dst = self._place_slot(key, dpos)
-        self.last_search_comparisons = max(c1 - c0, 1 + c3 - c2)
-        s = self.slot_sets[dst]
+        k = self._place(key, dst)
+        s = self.sets[k]
         s.append(node, meter)
         if led is not None:
             # the two direct mutations, summed componentwise so the
@@ -363,18 +349,17 @@ class FHTNGHeap(PartitionHeap):
             after = tuple(b + d for b, d in zip(phi1, phi3))
             led.record('decrease_key', before=before, after=after)
             led.phi = phi3
-        self._restore(dst if s.size > 1 else None)
+        self._restore(k if s.size > 1 else None)
 
     def potential(self):
         '''(nonempty, size, up) potential sums; pure observation.'''
         fib = FIB
-        sets = self.slot_sets
         pn = 0
         ps = 0
         pu = 0
         prefix = 0
-        for i in self._ne:
-            size = sets[i].size
+        for i, s in zip(self._ne, self.sets):
+            size = s.size
             pn += 1
             if size >= fib[i]:
                 if size < fib[i + 1]:
@@ -394,29 +379,28 @@ class FHTNGHeap(PartitionHeap):
         '''Apply restoring operations, lowest-index violation first,
         until none is left; return whether any was applied.
 
-        ``touched`` names the one slot whose size a public operation
-        changed, when the operation neither emptied nor created a slot.
-        The structure is at rest before every public operation, since
-        the previous restoration ended with no violation.  With the set
-        of nonempty slots unchanged, the gap rule and the run rule hold
-        as before, and every other slot keeps its size.  So the only
-        possible violation is an over- or underflow at ``touched``: when
-        both size tests pass there, the full scan would find nothing
-        and is skipped.  Otherwise the full scan runs and reports the
-        same lowest-index violation it always did, so the order of
-        restorations, the meter and the ledger rows are unchanged.
+        ``touched`` is the index of the one set whose size a public
+        operation changed, when it neither emptied nor created a slot.
+        The structure is at rest before every public operation, so with
+        the nonempty slots unchanged the gap and run rules still hold,
+        every other slot keeps its size, and only an over- or underflow
+        at ``touched`` is possible: when both size tests pass there,
+        the full scan would find nothing and is skipped.  Otherwise the
+        full scan reports the same lowest-index violation it always
+        did, so the restorations, the meter and the ledger are as
+        without the shortcut.
 
-        ``_find_violation`` names the restoring method and the slot; the
-        method returns ``(op, nominal)`` and this loop records the row.
+        ``_find_violation`` names the restoring method and the set's
+        index; the method returns ``(op, nominal)`` and this loop
+        records the row under the set's slot number.
         '''
         if touched is not None:
-            size = self.slot_sets[touched].size
-            if size < FIB[touched + 3] and (
-                    touched == _FIRST_SLOT or size > FIB[touched]):
+            i = self._ne[touched]
+            size = self.sets[touched].size
+            if size < FIB[i + 3] and (i == _FIRST_SLOT or size > FIB[i]):
                 return False
         led = self.ledger
         guard = 0
-        limit = 4 * (len(self.slot_sets) + 4)
         while True:
             violation = self._find_violation()
             if violation is None:
@@ -425,127 +409,119 @@ class FHTNGHeap(PartitionHeap):
                     # a split or concatenation consumed the cached set
                     self._drop_front()
                 return guard > 0
-            restoring, i = violation
-            op, nominal = restoring(i)
+            restoring, k = violation
+            i = self._ne[k]
+            op, nominal = restoring(k)
             if led is not None:
                 led.record(op, a=i, nominal=nominal, after=self.potential())
             guard += 1
-            limit = max(limit, 4 * (len(self.slot_sets) + 4))
-            if guard > limit:
+            if guard > 4 * (self._ne[-1] + 5):
                 raise AssertionError(
                     'restoration did not converge in %d steps' % guard)
 
     def _find_violation(self):
-        '''Lowest-index violation, as (restoring method, slot): size
-        bounds first at each slot, then a nine-empty gap (reported at
-        the nonempty slot below it), then a three-nonempty run
+        '''Lowest-index violation, as (restoring method, set index):
+        size bounds first at each slot, then a nine-empty gap (reported
+        at the nonempty slot below it), then a three-nonempty run
         (reported at the run's last slot).'''
         fib = FIB
-        sets = self.slot_sets
+        sets = self.sets
         ne = self._ne
         prev = _FIRST_SLOT - 1
         run = 0
-        for pos, i in enumerate(ne):
+        for k, i in enumerate(ne):
             gap = i - prev - 1
-            size = sets[i].size
+            size = sets[k].size
             if size >= fib[i + 3]:
-                return self._overflow, i
+                return self._overflow, k
             if i > _FIRST_SLOT and size <= fib[i]:
-                return self._underflow, i
+                return self._underflow, k
             if gap >= 9:
-                return self._split_up, i
+                return self._split_up, k
             run = run + 1 if gap == 0 else 1
             if run >= 3:
-                end = i
-                k = pos + 1
-                while k < len(ne) and ne[k] == end + 1:
-                    end = ne[k]
+                while k + 1 < len(ne) and ne[k + 1] == ne[k] + 1:
                     k += 1
-                return self._merge_down, end
+                return self._merge_down, k
             prev = i
         return None
 
-    def _overflow(self, i):
+    def _split(self, k, stop, s, rank, slot):
+        '''Split ``s`` at ``rank``; its lower part, bounded below by its
+        own minimum, and its upper part take slots ``slot`` and
+        ``slot + 1`` in place of ``sets[k:stop]``.'''
+        meter = self.meter
+        low, high, boundary = split_by_rank(s, rank, meter)
+        self.sets[k:stop] = [low, high]
+        self.pivots[k:stop] = [low.min_node(meter).key, boundary]
+        self._ne[k:stop] = [slot, slot + 1]
+
+    def _overflow(self, k):
         '''Full set at slot i: slide into an empty slot below, or pass
         the largest F_{i+3} elements through the occupied one.'''
         meter = self.meter
-        fib = FIB
-        self._grow(i + 2)
-        s = self.slot_sets[i]
-        if self.slot_sets[i + 1] is None:
-            self._set_slot(i + 1, s, self._clear_slot(i))
+        ne = self._ne
+        i = ne[k]
+        s = self.sets[k]
+        if ne[k + 1:k + 2] != [i + 1]:
+            ne[k] = i + 1
             meter.list_links += 1
             return 'overflow_down', 1
-        assert self.slot_sets[i + 2] is None
-        assert s.size >= fib[i + 3]
-        target = self.slot_sets[i + 1]
+        assert ne[k + 2:k + 3] != [i + 2]
+        assert s.size >= FIB[i + 3]
+        target = self.sets[k + 1]
         keep = target.size
-        self._clear_slot(i)
         target.concat(s, meter)
-        low, high, boundary = split_by_rank(target, keep, meter)
-        self.slot_sets[i + 1] = low
-        self._set_pivot(i + 1, low.min_node(meter).key)
-        self._set_slot(i + 2, high, boundary)
-        return 'overflow_thru', fib[max(i - 4, 0)]
+        self._split(k, k + 2, target, keep, i + 1)
+        return 'overflow_thru', FIB[max(i - 4, 0)]
 
-    def _underflow(self, i):
+    def _underflow(self, k):
         '''Underfull set at slot i > 3: slide into an empty slot above,
         pull the smallest F_i back out through an occupied one, or fold
         into slot 3 when no slot above exists.'''
         meter = self.meter
-        fib = FIB
-        s = self.slot_sets[i]
-        assert i > _FIRST_SLOT and s.size <= fib[i]
-        if self.slot_sets[i - 1] is None:
-            self._set_slot(i - 1, s, self._clear_slot(i))
+        ne = self._ne
+        i = ne[k]
+        s = self.sets[k]
+        assert i > _FIRST_SLOT and s.size <= FIB[i]
+        if not k or ne[k - 1] != i - 1:
+            ne[k] = i - 1
             meter.list_links += 1
             return 'underflow_up', 1
+        upper = self.sets[k - 1]
         if i - 2 >= _FIRST_SLOT:
-            assert self.slot_sets[i - 2] is None
-            upper = self.slot_sets[i - 1]
-            keep = upper.size
+            assert k < 2 or ne[k - 2] != i - 2
             take = s.size
             upper.concat(s, meter)
-            self._clear_slot(i)
-            low, high, boundary = split_by_rank(upper, take, meter)
-            assert high.size == keep
-            self.slot_sets[i - 1] = high
-            self._set_pivot(i - 1, boundary)
-            self._set_slot(i - 2, low, low.min_node(meter).key)
-            return 'underflow_thru', fib[max(i - 6, 0)]
+            self._split(k - 1, k + 1, upper, take, i - 2)
+            return 'underflow_thru', FIB[max(i - 6, 0)]
         # i == 4 and slot 3 occupied: nowhere above to refill
-        s3 = self.slot_sets[_FIRST_SLOT]
-        s3.concat(s, meter)
-        self._clear_slot(i)
+        upper.concat(s, meter)
+        del self.sets[k], self.pivots[k], self._ne[k]
         return 'bottom_merge', 1
 
-    def _merge_down(self, i):
-        '''Three nonempty slots end at i: concatenate slots i-1 and i
-        into the empty slot i+1, keeping the lower slot's pivot.'''
+    def _merge_down(self, k):
+        '''Three nonempty slots end at slot i: concatenate slots i-1
+        and i into the empty slot i+1, keeping the lower slot's pivot.'''
         meter = self.meter
-        self._grow(i + 1)
-        assert self.slot_sets[i + 1] is None
-        merged = self.slot_sets[i - 1]
-        merged.concat(self.slot_sets[i], meter)
+        i = self._ne[k]
+        assert self._ne[k + 1:k + 2] != [i + 1]
+        self.sets[k - 1].concat(self.sets[k], meter)
         meter.list_links += 1
-        self._clear_slot(i)
-        self._set_slot(i + 1, merged, self._clear_slot(i - 1))
+        del self.sets[k], self.pivots[k], self._ne[k]
+        self._ne[k - 1] = i + 1
         return 'merge_down', 1
 
-    def _split_up(self, i):
+    def _split_up(self, k):
         '''Nine empty slots sit above nonempty slot i: split its set
         proportionally into slots i-2 and i-1.'''
-        meter = self.meter
+        i = self._ne[k]
         assert i >= 12  # nine empties above slot i force this
-        s = self.slot_sets[i]
-        a, b = proportional_split_sizes(i, s.size)
-        self._clear_slot(i)
-        low, high, boundary = split_by_rank(s, a, meter)
-        self._set_slot(i - 2, low, low.min_node(meter).key)
-        self._set_slot(i - 1, high, boundary)
+        s = self.sets[k]
+        self._split(k, k + 1, s, proportional_split_sizes(i, s.size)[0], i - 2)
         return 'split_up', FIB[i - 6]
 
     def __repr__(self):
-        shape = ', '.join('%d:%d' % (i, self.slot_sets[i].size)
-                          for i in self._ne)
+        shape = ', '.join('%d:%d' % (i, s.size)
+                          for i, s in zip(self._ne, self.sets))
         return 'FHTNGHeap(n=%d, slots={%s})' % (self.n, shape)

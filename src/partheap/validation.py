@@ -187,16 +187,15 @@ def _audit_lp(report, heap):
 def _audit_fhtng(report, heap):
     fib = FIB
     ne = heap._ne
-    # internal index coherence
-    occupied = [i for i in range(len(heap.slot_sets))
-                if heap.slot_sets[i] is not None]
-    if occupied != ne or len(heap._ne_pivs) != len(ne):
-        report.fail('index', 'nonempty index %r with %d pivots but slots %r'
-                    % (ne, len(heap._ne_pivs), occupied))
+    sets = heap.sets
+    pivots = heap.pivots
+    if not len(sets) == len(pivots) == len(ne) \
+            or any(b <= a for a, b in zip([2] + ne, ne)):
+        report.fail('index', '%d sets and %d pivots in slots %r'
+                    % (len(sets), len(pivots), ne))
         return
-    counts, _ = _partition(report, [('slot %d' % i, heap.slot_sets[i], pivot)
-                                    for i, pivot in zip(ne, heap._ne_pivs)],
-                           heap.n)
+    counts, _ = _partition(report, [('slot %d' % i, s, pivot) for i, s, pivot
+                                    in zip(ne, sets, pivots)], heap.n)
     prev = None
     run = 0
     for i, count in zip(ne, counts):
@@ -232,7 +231,7 @@ def _audit_front(report, heap):
         if owner is not None:
             report.fail('front', 'empty cache names a set')
         return
-    if not any(heap.slot_sets[i] is owner for i in heap._ne):
+    if not any(s is owner for s in heap.sets):
         report.fail('front', 'cached set is in no slot')
         return
     members = set(owner.iter_nodes())

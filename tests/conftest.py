@@ -55,7 +55,9 @@ def make_fhtng_state(slot_sizes):
         size = slot_sizes[i]
         s = LinkedSet()
         _fill(s, heap, i * BLOCK, size)
-        heap._set_slot(i, s, (i * BLOCK, -1))
+        heap.sets.append(s)
+        heap.pivots.append((i * BLOCK, -1))
+        heap._ne.append(i)
         heap.n += size
     return heap
 

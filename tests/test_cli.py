@@ -102,6 +102,30 @@ for build in (False, True):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ''
 
+    def test_fhtng_bottom_merge_without_asserts(self):
+        # the replays above never fold slot 4 into slot 3
+        script = '''
+import sys
+sys.path.insert(0, %r)
+from conftest import drain, make_fhtng_state
+from partheap import attach_ledger, audit
+if __debug__:
+    raise SystemExit('asserts still enabled')
+h = make_fhtng_state({3: 2, 4: 2})
+led = attach_ledger(h)
+h._restore()
+rows = [(r.op, r.a, r.nominal, r.dphi) for r in led.rows]
+shape = (list(h._ne), [s.size for s in h.sets])
+report = audit(h)
+out = drain(h)
+if (rows != [('bottom_merge', 4, 1, -2)] or shape != ([3], [4])
+        or not report.passed or out != [3000, 3001, 4000, 4001]):
+    print(rows, shape, report, out)
+''' % os.path.dirname(os.path.abspath(__file__))
+        proc = run_optimized(script, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ''
+
     def test_split_refuses_duplicate_keys_without_asserts(self):
         script = '''
 from partheap import LinkedSet, Node, split_by_rank

@@ -30,35 +30,25 @@ def state(kind):
     return make_fhtng_state({4: 5, 6: 10, 8: 30, 10: 60})
 
 
-def sets_of(h):
-    if h.kind == 'fhtng':
-        return [h.slot_sets[i] for i in h._ne]
-    return list(h.sets)
-
-
 def lower_pivots(h):
-    '''The lower pivot of each set in order; None where there is none.'''
-    if h.kind == 'fhtng':
-        return list(h._ne_pivs)
-    return [None] + h.pivots
+    '''The lower pivot of each set in order; None where there is none.
+    FHTNG's first set has one, the floor.'''
+    return list(h.pivots) if h.kind == 'fhtng' else [None] + h.pivots
 
 
 def set_lower_pivot(h, j, pivot):
-    if h.kind == 'fhtng':
-        h._ne_pivs[j] = pivot
-    else:
-        h.pivots[j - 1] = pivot
+    h.pivots[j - (h.kind != 'fhtng')] = pivot
 
 
 def search_cost(h, key):
     '''Comparisons the source search for ``key`` makes.'''
     meter = CostMeter()
-    pivot_search(h._ne_pivs if h.kind == 'fhtng' else h.pivots, key, meter)
+    pivot_search(h.pivots, key, meter)
     return meter.comparisons
 
 
 def layout(h):
-    return [list(s.iter_nodes()) for s in sets_of(h)]
+    return [list(s.iter_nodes()) for s in h.sets]
 
 
 def set_index(h, node):
@@ -91,7 +81,7 @@ def check_stays(h, node, user_key):
 @pytest.mark.parametrize('kind', HEAPS)
 def test_stay_keeps_position_sizes_and_pivots(kind):
     h = state(kind)
-    for j in range(len(sets_of(h))):
+    for j in range(len(h.sets)):
         node = layout(h)[j][1]  # an inner node: its place must hold
         check_stays(h, node, node.key[0] - 1)
 
@@ -99,7 +89,7 @@ def test_stay_keeps_position_sizes_and_pivots(kind):
 @pytest.mark.parametrize('kind', HEAPS)
 def test_decrease_to_exactly_the_pivot_stays(kind):
     h = state(kind)
-    j = len(sets_of(h)) - 1
+    j = len(h.sets) - 1
     node = layout(h)[j][0]
     set_lower_pivot(h, j, node.key)  # tight: the pivot is node's key
     check_stays(h, node, node.key[0])
@@ -108,7 +98,7 @@ def test_decrease_to_exactly_the_pivot_stays(kind):
 @pytest.mark.parametrize('kind', HEAPS)
 def test_one_below_the_pivot_moves(kind):
     h = state(kind)
-    j = len(sets_of(h)) - 1
+    j = len(h.sets) - 1
     node = layout(h)[j][1]
     sizes = [len(nodes) for nodes in layout(h)]
     pivots = lower_pivots(h)
@@ -146,8 +136,8 @@ def test_fhtng_singleton_slot_stays_without_restoring():
     # would open nine empty slots and split slot 12
     h = make_fhtng_state({3: 2, 12: 200})
     assert h.delete_min() == 3000
-    node = h.slot_sets[3].first
-    assert h.slot_sets[3].size == 1
+    node = h.sets[0].first
+    assert h.sets[0].size == 1
     check_stays(h, node, 3000)
     assert h._ne == [3, 12]
 

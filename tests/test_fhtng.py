@@ -15,10 +15,12 @@ from partheap.fhtng import FRONT, _smallest, proportional_split_sizes
 
 
 def multiset(heap):
-    out = []
-    for i in heap._ne:
-        out.extend(n.key[0] for n in heap.slot_sets[i].iter_nodes())
-    return sorted(out)
+    return sorted(key for s in heap.sets for key in keys_of(s))
+
+
+def at(heap, i):
+    '''The set in slot i.'''
+    return heap.sets[heap._ne.index(i)]
 
 
 class TestFibTable:
@@ -43,14 +45,14 @@ class TestInsert:
         h = FHTNGHeap()
         h.insert(5)
         assert h._ne == [3]
-        assert h.slot_sets[3].size == 1
-        assert h._ne_pivs[h._ne.index(3)][0] == 5
+        assert at(h, 3).size == 1
+        assert h.pivots[h._ne.index(3)][0] == 5
 
     def test_below_all_pivots_lands_in_first_slot(self):
         h = make_fhtng_state({4: 5, 5: 8})
         h.insert(7)  # below the 4000-block pivots
-        assert h.slot_sets[3].size == 1
-        assert h._ne_pivs[h._ne.index(3)][0] == 7
+        assert at(h, 3).size == 1
+        assert h.pivots[h._ne.index(3)][0] == 7
         assert audit(h).passed
 
     def test_overflow_down_fires_at_full(self):
@@ -58,8 +60,8 @@ class TestInsert:
         h = make_fhtng_state({5: 20})
         led = attach_ledger(h)
         h.insert(5500)
-        assert h.slot_sets[5] is None
-        assert h.slot_sets[6].size == 21
+        assert 5 not in h._ne
+        assert at(h, 6).size == 21
         assert [row.op for row in led.rows if row.op != 'insert'] \
             == ['overflow_down']
 
@@ -67,7 +69,7 @@ class TestInsert:
         h = FHTNGHeap()
         h.insert(10)
         h.insert(3)
-        assert h._ne_pivs[h._ne.index(3)][0] == 3
+        assert h.pivots[h._ne.index(3)][0] == 3
         assert audit(h).passed
 
 
@@ -85,11 +87,11 @@ class TestDeleteMin:
     def test_scans_first_nonempty_slot(self):
         # slot 3 empty, the two elements sit in slot 4
         h = make_fhtng_state({4: 2})
-        node = list(h.slot_sets[4].iter_nodes())[0]
+        node = list(at(h, 4).iter_nodes())[0]
         node.key = (2, node.key[1])
-        other = list(h.slot_sets[4].iter_nodes())[1]
+        other = list(at(h, 4).iter_nodes())[1]
         other.key = (9, other.key[1])
-        h._ne_pivs[h._ne.index(4)] = (2, -1)
+        h.pivots[h._ne.index(4)] = (2, -1)
         assert h.delete_min() == 2
         assert multiset(h) == [9]
         assert h.n == 1
@@ -126,19 +128,19 @@ class TestDecreaseKey:
 
     def test_moves_to_lower_slot(self):
         h = make_fhtng_state({4: 5, 5: 8, 7: 15})
-        node = next(h.slot_sets[7].iter_nodes())
+        node = next(at(h, 7).iter_nodes())
         h.decrease_key(node, 4100)  # between the slot-4 and slot-5 pivots
         assert node.key[0] == 4100
         assert audit(h).passed
-        slot_of = [i for i in h._ne
-                   if node in set(h.slot_sets[i].iter_nodes())]
+        slot_of = [i for i, s in zip(h._ne, h.sets)
+                   if node in set(s.iter_nodes())]
         assert slot_of == [4]
 
     def test_same_slot_interval(self):
         h = make_fhtng_state({4: 5, 5: 8})
-        node = list(h.slot_sets[5].iter_nodes())[-1]
+        node = list(at(h, 5).iter_nodes())[-1]
         h.decrease_key(node, node.key[0] - 1)
-        assert h.slot_sets[5].size == 8
+        assert at(h, 5).size == 8
         assert audit(h).passed
 
     def test_underflow_thru_fires(self):
@@ -146,15 +148,15 @@ class TestDecreaseKey:
         # the 13 smallest of the merged sets move up to empty slot 5
         h = make_fhtng_state({6: 10, 7: 14})
         led = attach_ledger(h)
-        node = next(h.slot_sets[7].iter_nodes())
+        node = next(at(h, 7).iter_nodes())
         h.decrease_key(node, 6500)  # into slot 6's interval
         ops = [row.op for row in led.rows if row.op != 'decrease_key']
         assert ops == ['underflow_thru']
         # 13 pulled up to the empty slot 5, then the moved node lands
         # there too (its new key is below the refreshed slot-6 pivot)
-        assert h.slot_sets[5].size == 14
-        assert h.slot_sets[6].size == 10
-        assert h.slot_sets[7] is None
+        assert at(h, 5).size == 14
+        assert at(h, 6).size == 10
+        assert 7 not in h._ne
         assert audit(h).passed
 
     def test_search_after_restoring_op_spans_every_pivot(self):
@@ -165,12 +167,12 @@ class TestDecreaseKey:
         # place it in slot 5
         h = make_fhtng_state({6: 20, 7: 14})
         led = attach_ledger(h)
-        node = next(h.slot_sets[7].iter_nodes())
+        node = next(at(h, 7).iter_nodes())
         h.decrease_key(node, 6500)
         ops = [row.op for row in led.rows if row.op != 'decrease_key']
         assert ops == ['underflow_thru']
-        assert keys_of(h.slot_sets[5]) == list(range(6000, 6013))
-        assert node in set(h.slot_sets[6].iter_nodes())
+        assert keys_of(at(h, 5)) == list(range(6000, 6013))
+        assert node in set(at(h, 6).iter_nodes())
         assert audit(h).passed
 
     def test_key_increase_rejected(self):
@@ -184,7 +186,7 @@ def arrival(heap, key):
     '''Whether ``key`` would join the front cache's set 'above' or
     'below' its largest cached key; None when it joins another set.'''
     front = heap._front
-    if not front or heap._target(pivot_search(heap._ne_pivs, key)) \
+    if not front or heap._target(pivot_search(heap.pivots, key)) \
             is not heap._front_set:
         return None
     return 'below' if key < front[0].key else 'above'
@@ -227,7 +229,7 @@ class TestFrontCache:
         # slot 6 is still good once slot 3 empties again
         h = make_fhtng_state({6: 20, 8: 40})
         h.delete_min()
-        cached = h.slot_sets[6]
+        cached = at(h, 6)
         h.insert(7)
         assert h._front_set is cached
         assert h.delete_min() == 7
@@ -264,7 +266,7 @@ class TestFrontCache:
         led = attach_ledger(h)
         h.delete_min()
         h.insert(5500)
-        assert h._front_set is h.slot_sets[5]
+        assert h._front_set is at(h, 5)
         h.insert(5501)
         assert 'overflow_thru' in [row.op for row in led.rows]
         assert h._front_set is None and audit(h).passed
@@ -357,11 +359,11 @@ class TestRestoringOps:
 
     def test_overflow_down_meter_and_pivot(self):
         h = make_fhtng_state({5: 21})
-        pivot = h._ne_pivs[h._ne.index(5)]
+        pivot = h.pivots[h._ne.index(5)]
         meter0 = h.meter.snapshot()
         h._restore()
-        assert h.slot_sets[6].size == 21
-        assert h._ne_pivs[h._ne.index(6)] == pivot
+        assert at(h, 6).size == 21
+        assert h.pivots[h._ne.index(6)] == pivot
         delta = [b - a for a, b in zip(meter0, h.meter.snapshot())]
         assert delta[3] == 0  # zero selection touches
         assert delta[2] <= 2  # constant link writes
@@ -370,20 +372,20 @@ class TestRestoringOps:
         h = make_fhtng_state({5: 21, 6: 9})
         before = multiset(h)
         h._restore()
-        assert h.slot_sets[5] is None
-        assert h.slot_sets[6].size == 9
-        assert h.slot_sets[7].size == 21
+        assert 5 not in h._ne
+        assert at(h, 6).size == 9
+        assert at(h, 7).size == 21
         assert multiset(h) == before
-        assert max(keys_of(h.slot_sets[6])) < h._ne_pivs[h._ne.index(7)][0]
-        assert min(keys_of(h.slot_sets[7])) == h._ne_pivs[h._ne.index(7)][0]
+        assert max(keys_of(at(h, 6))) < h.pivots[h._ne.index(7)][0]
+        assert min(keys_of(at(h, 7))) == h.pivots[h._ne.index(7)][0]
         assert audit(h).passed
 
     def test_underflow_up_moves_whole_set(self):
         h = make_fhtng_state({6: 8})
         meter0 = h.meter.snapshot()
         h._restore()
-        assert h.slot_sets[5].size == 8
-        assert h.slot_sets[6] is None
+        assert at(h, 5).size == 8
+        assert 6 not in h._ne
         assert FIB[5] <= 8 <= FIB[8]
         delta = [b - a for a, b in zip(meter0, h.meter.snapshot())]
         assert delta[3] == 0 and delta[2] <= 2
@@ -392,21 +394,21 @@ class TestRestoringOps:
         h = make_fhtng_state({6: 10, 7: 13})
         before = multiset(h)
         h._restore()
-        assert h.slot_sets[5].size == 13
-        assert h.slot_sets[6].size == 10
-        assert h.slot_sets[7] is None
+        assert at(h, 5).size == 13
+        assert at(h, 6).size == 10
+        assert 7 not in h._ne
         assert multiset(h) == before
         assert audit(h).passed
 
     def test_merge_down_concatenates_bottom_pair(self):
         h = make_fhtng_state({4: 5, 5: 8, 6: 13})
-        pivot5 = h._ne_pivs[h._ne.index(5)]
+        pivot5 = h.pivots[h._ne.index(5)]
         meter0 = h.meter.snapshot()
         h._restore()
-        assert h.slot_sets[5] is None and h.slot_sets[6] is None
-        assert h.slot_sets[7].size == 21
-        assert h._ne_pivs[h._ne.index(7)] == pivot5
-        assert h.slot_sets[7].size <= FIB[10]
+        assert 5 not in h._ne and 6 not in h._ne
+        assert at(h, 7).size == 21
+        assert h.pivots[h._ne.index(7)] == pivot5
+        assert at(h, 7).size <= FIB[10]
         delta = [b - a for a, b in zip(meter0, h.meter.snapshot())]
         assert delta[3] == 0
         assert audit(h).passed
@@ -440,7 +442,7 @@ class TestRestoringOps:
         led = attach_ledger(h)
         meter0 = h.meter.snapshot()
         h._restore()
-        assert h._ne == [3] and h.slot_sets[3].size == 4
+        assert h._ne == [3] and at(h, 3).size == 4
         assert [(r.op, r.a, r.nominal, r.dphi) for r in led.rows] \
             == [('bottom_merge', 4, 1, -2)]
         delta = [b - a for a, b in zip(meter0, h.meter.snapshot())]
@@ -461,8 +463,8 @@ class TestSplitUp:
         led = attach_ledger(h)
         h._restore()
         assert [row.op for row in led.rows] == ['split_up']
-        assert h.slot_sets[12] is None
-        assert h.slot_sets[10].size + h.slot_sets[11].size == 200
+        assert 12 not in h._ne
+        assert at(h, 10).size + at(h, 11).size == 200
         assert audit(h).passed
 
     def test_split_applies_band_arithmetic(self):
@@ -473,8 +475,8 @@ class TestSplitUp:
         want_a, want_b = proportional_split_sizes(12, 150)
         # b stays put; a lands exactly on its band floor, so a follow-up
         # slide may relocate it one slot higher within the same pass
-        assert h.slot_sets[11].size == want_b
-        assert sum(h.slot_sets[i].size for i in h._ne) == 150
+        assert at(h, 11).size == want_b
+        assert sum(s.size for s in h.sets) == 150
         assert want_a + want_b == 150
         assert audit(h).passed
 

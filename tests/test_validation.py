@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import (Boom, drain, make_exp_state, make_fhtng_state,
                       make_lp_state, raising_keys, split_rule)
 from partheap import (DeadHandleError, EmptyHeapError, ExpHeap,
-                      FHTNGHeap, ForeignHandleError, KeyOrderError, LPHeap,
-                      OracleHeap, PATTERNS, PotentialLedger, Trace,
-                      attach_ledger, audit, differential_run, gen,
-                      lemma_check, run_trace)
+                      FHTNGHeap, ForeignHandleError, KeyOrderError,
+                      LinkedSet, LPHeap, OracleHeap, PATTERNS,
+                      PotentialLedger, Trace, attach_ledger, audit,
+                      differential_run, gen, lemma_check, run_trace)
 from partheap.potential import PotRow, current_phi
 
 
@@ -319,7 +319,7 @@ class TestAudit:
         assert 'S_2' in report.failures[0][1]
 
         h2 = make_fhtng_state({4: 5})
-        h2.slot_sets[4].size = 7
+        h2.sets[0].size = 7
         report2 = audit(h2)
         assert not report2.passed
         assert report2.failures[0][0] == 'size'
@@ -339,7 +339,7 @@ class TestAudit:
 
     def test_stale_last_detected(self):
         h = make_fhtng_state({4: 5})
-        s = h.slot_sets[4]
+        s = h.sets[0]
         s.last = s.last.prev
         report = audit(h)
         assert not report.passed
@@ -388,22 +388,22 @@ class TestAudit:
         h = make_fhtng_state({6: 20, 8: 40})
         assert h.delete_min() == 6000
         front = h._front
-        assert h._front_set is h.slot_sets[6] and len(front) == 7
+        assert h._front_set is h.sets[0] and len(front) == 7
         assert audit(h).passed
         if how == 'dead':
             # the cached minimum left the heap but is still cached
-            h.slot_sets[6].remove(front[-1])
+            h.sets[0].remove(front[-1])
             front[-1].alive = False
             h.n -= 1
         elif how == 'other-set':
-            front[0] = h.slot_sets[8].first
+            front[0] = h.sets[1].first
         elif how == 'order':
             front[0], front[1] = front[1], front[0]
         elif how == 'below':
             # 6002 left the cache but lies below its largest key
             del front[-2]
         elif how == 'no-slot':
-            h._front_set = make_fhtng_state({6: 20}).slot_sets[6]
+            h._front_set = make_fhtng_state({6: 20}).sets[0]
         else:
             del front[:]
         report = audit(h)
@@ -496,10 +496,38 @@ class TestAudit:
              'fhtng': lambda: make_fhtng_state({4: 5, 6: 10}),
              'exp': lambda: make_exp_state([2, 3, 5])}[kind]()
         assert audit(h).passed
-        pivots = h._ne_pivs if kind == 'fhtng' else h.pivots
-        pivots[1] = pivots[0]
+        h.pivots[1] = h.pivots[0]
         report = audit(h)
         assert [check for check, _ in report.failures] == ['sandwich']
+
+    @pytest.mark.parametrize('how', ['short-pivots', 'long-sets',
+                                     'repeated', 'decreasing', 'below-3'])
+    def test_fhtng_index_checked(self, how):
+        # sets, pivots and slot numbers are parallel lists, and the slot
+        # numbers increase strictly from 3
+        h = make_fhtng_state({4: 5, 6: 10})
+        if how == 'short-pivots':
+            h.pivots.pop()
+        elif how == 'long-sets':
+            h.sets.append(LinkedSet())
+        elif how == 'repeated':
+            h._ne[1] = 4
+        elif how == 'decreasing':
+            h._ne[:] = [6, 4]
+        else:
+            h._ne[0] = 2
+        assert [check for check, _ in audit(h).failures] == ['index']
+
+    @pytest.mark.parametrize('make', [make_lp_state, make_exp_state])
+    @pytest.mark.parametrize('grow', [False, True])
+    def test_pivot_count_checked(self, make, grow):
+        # LP and Exp hold one pivot fewer than sets
+        h = make([3, 3, 3])
+        if grow:
+            h.pivots.append((9000, -1))
+        else:
+            h.pivots.pop()
+        assert [check for check, _ in audit(h).failures] == ['index']
 
     @pytest.mark.parametrize('shape', [{5: 21}, {6: 8}, {3: 8}])
     def test_fhtng_band_is_exact(self, shape):
@@ -510,10 +538,10 @@ class TestAudit:
 
     def test_audit_is_side_effect_free(self):
         h = make_fhtng_state({4: 5, 6: 13})
-        shape_before = [(i, h.slot_sets[i].size) for i in h._ne]
+        shape_before = [(i, s.size) for i, s in zip(h._ne, h.sets)]
         meter_before = h.meter.snapshot()
         audit(h)
-        assert [(i, h.slot_sets[i].size) for i in h._ne] == shape_before
+        assert [(i, s.size) for i, s in zip(h._ne, h.sets)] == shape_before
         assert h.meter.snapshot() == meter_before
 
 
